@@ -88,6 +88,7 @@ from repro.report.tables import (
     render_table4,
 )
 from repro.sim.experiments import table1, table2, table3, table4
+from repro.util.validation import int_at_least
 
 __all__ = ["main", "build_parser", "run_experiment", "ANALYSIS_COMMANDS"]
 
@@ -96,17 +97,22 @@ __all__ = ["main", "build_parser", "run_experiment", "ANALYSIS_COMMANDS"]
 ANALYSIS_COMMANDS = ("prove", "lint", "analyze", "certify", "plan")
 
 
-def _workers_arg(value: str) -> int:
-    """argparse type for ``--workers``: non-negative int (0 = all cores)."""
+#: argparse types: ``--workers`` (0 = all cores) and ``--trials``.
+_workers_arg = int_at_least(0, " (0 = all cores)")
+_trials_arg = int_at_least(1)
+
+
+def _fabric_arg(value: str) -> "FabricSpec":
+    """argparse type for ``--fabric``: a spec :func:`parse_fabric_spec` accepts."""
+    from repro.fabric import WORKER_BACKENDS, parse_fabric_spec
+
     try:
-        workers = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}")
-    if workers < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be >= 0 (0 = all cores), got {workers}"
-        )
-    return workers
+        return parse_fabric_spec(value)
+    except ValueError as exc:
+        message, backends = str(exc), ", ".join(sorted(WORKER_BACKENDS))
+        if backends not in message:
+            message += f" (backends: {backends})"
+        raise argparse.ArgumentTypeError(message) from None
 
 
 def _engine_from_args(args) -> "MonteCarloEngine":
@@ -491,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--trials",
-        type=int,
+        type=_trials_arg,
         default=1000,
         help="Monte-Carlo trials for randomized cells (default 1000)",
     )
@@ -543,13 +549,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--fabric",
         metavar="SPEC",
+        type=_fabric_arg,
         default=None,
         help=(
             "run Monte-Carlo shards on the distributed sweep fabric: "
             "N lease-based work-stealing workers with failure detection "
             "(e.g. 'workers=4' or 'workers=4,backend=pool'; backends: "
-            "inproc, pool, spawned).  Results are bit-identical to "
-            "--workers execution."
+            "inproc, pool).  Results are bit-identical to --workers "
+            "execution."
         ),
     )
     parser.add_argument(
@@ -754,7 +761,7 @@ def _sweep_all_main(argv: Sequence[str]) -> int:
             "work-stealing workers."
         ),
     )
-    parser.add_argument("--trials", type=int, default=1000)
+    parser.add_argument("--trials", type=_trials_arg, default=1000)
     parser.add_argument("--seed", type=int, default=2014)
     parser.add_argument(
         "--widths", type=int, nargs="+", default=[16, 32, 64, 128, 256]
@@ -765,8 +772,12 @@ def _sweep_all_main(argv: Sequence[str]) -> int:
     parser.add_argument(
         "--fabric",
         metavar="SPEC",
+        type=_fabric_arg,
         default=None,
-        help="fabric spec, e.g. 'workers=4' or 'workers=4,backend=pool'",
+        help=(
+            "fabric spec, e.g. 'workers=4' or 'workers=4,backend=pool' "
+            "(backends: inproc, pool)"
+        ),
     )
     parser.add_argument("--no-cache", action="store_true")
     parser.add_argument("--stats", action="store_true")

@@ -2,31 +2,29 @@
 
 The batched DMM compiles a program skeleton once and executes ``T``
 mapping draws at a time; *where* those residual instructions execute
-is a backend decision:
+is a backend decision.  Two backends exist:
 
 ``numpy``
-    The reference: the vectorized host path
-    :meth:`~repro.dmm.batched.BatchedDMM.execute_plan` has always
-    used.  Always available; defines the semantics every other
+    The reference: the host instruction loop that
+    :meth:`~repro.dmm.batched.BatchedDMM.run` and
+    :meth:`~repro.dmm.batched.BatchedDMM.execute_plan` execute
+    through.  Always available; defines the semantics the other
     backend is pinned to.
 ``numba``
-    ``@njit``-compiled hot loops (histogram congestion counting over
-    pre-staged bank keys, fused flat gather/scatter with INACTIVE
-    passthrough, CRCW last-lane-wins stores).  Available when numba
-    is importable; otherwise the registry falls back to numpy.
-``cupy``
-    Device-resident address tables and trial-axis execution with a
-    single host sync per run.  Available when cupy is importable and
-    a CUDA device is visible.
+    The same loop with ``@njit``-compiled hot primitives (histogram
+    congestion counting over pre-staged bank keys, fused flat
+    gather/scatter with INACTIVE passthrough, CRCW last-lane-wins
+    stores).  Available when numba is importable; otherwise the
+    registry falls back to numpy.
 
 Selection is by name (``resolve_backend("numba")``) or automatic
 (``resolve_backend("auto")`` picks the fastest available in the order
-cupy > numba > numpy).  Resolution never fails for a *registered*
-name: an unavailable backend resolves to numpy with an explanatory
-note, so scripted runs degrade gracefully instead of crashing in
-bare environments.  Every backend's output is **bit-identical** to
-the scalar machine — congestions, dispatch, timing, registers,
-memory — property-tested in ``tests/test_backends.py``.
+numba > numpy).  Resolution never fails for a *registered* name: an
+unavailable backend resolves to numpy with an explanatory note, so
+scripted runs degrade gracefully instead of crashing in bare
+environments.  Both backends' output is **bit-identical** to the
+scalar machine — congestions, dispatch, timing, registers, memory —
+property-tested in ``tests/test_backends.py``.
 """
 
 from __future__ import annotations
@@ -36,24 +34,20 @@ from typing import Dict, Optional, Union
 
 from repro.dmm.backends.base import (
     BackendUnavailable,
-    InstructionLoopBackend,
+    NumpyBackend,
     PlanBackend,
     StagedPlan,
 )
-from repro.dmm.backends.cupy_backend import CupyBackend
 from repro.dmm.backends.numba_backend import NumbaBackend
-from repro.dmm.backends.numpy_backend import NumpyBackend
 
 __all__ = [
     "AUTO_ORDER",
     "BACKEND_CHOICES",
     "BackendUnavailable",
-    "InstructionLoopBackend",
     "PlanBackend",
     "StagedPlan",
     "NumpyBackend",
     "NumbaBackend",
-    "CupyBackend",
     "Resolution",
     "register_backend",
     "backend_names",
@@ -64,7 +58,7 @@ __all__ = [
 
 #: preference order of ``auto`` selection: fastest first, numpy as the
 #: always-available floor.
-AUTO_ORDER = ("cupy", "numba", "numpy")
+AUTO_ORDER = ("numba", "numpy")
 
 _REGISTRY: Dict[str, PlanBackend] = {}
 
@@ -164,7 +158,6 @@ def resolve_backend(choice: Union[str, PlanBackend, None] = "auto") -> Resolutio
 
 register_backend(NumpyBackend())
 register_backend(NumbaBackend())
-register_backend(CupyBackend())
 
 #: the CLI's ``--backend`` vocabulary.
 BACKEND_CHOICES = ("auto",) + tuple(_REGISTRY)

@@ -1,4 +1,4 @@
-"""The ``PlanBackend`` protocol and the shared instruction-loop core.
+"""The ``PlanBackend`` protocol and the host instruction loop.
 
 A *backend* is an execution strategy for staged batched programs (the
 ``(T, p)``-blocked :class:`~repro.dmm.batched.BatchedProgram` that
@@ -7,23 +7,24 @@ with or without a compiled plan's static verdicts).  Every backend
 implements the same two-phase contract:
 
 ``stage(machine, program) -> StagedPlan``
-    One-time preparation: validate the program against the machine,
-    move address tables / bank keys wherever the backend executes
-    (host arrays for numpy/numba, device arrays for cupy), and compile
-    whatever kernels the backend needs.  Staging may be paid once and
-    the result executed later.
+    One-time preparation: validate the program against the machine
+    and compile whatever kernels the backend needs.  Staging may be
+    paid once and the result executed later.
 
 ``execute(staged) -> BatchedExecutionResult``
     Run the staged program.  The result must be **bit-identical** to
-    the reference numpy path — per-trial congestion matrices, dispatch
+    the numpy reference — per-trial congestion matrices, dispatch
     sets, completion times, final registers, and final memory — which
     in turn is pinned to the scalar machine.  A backend is a
     wall-clock transform, never a semantic one.
 
-:class:`InstructionLoopBackend` factors the loop every host-side
-backend shares — the statically-resolved closed form, the residual
-congestion count, the timing arithmetic — so a subclass only replaces
-the two hot primitives (congestion counting and data movement).
+:class:`NumpyBackend` is the reference and owns the only host
+instruction loop: :meth:`~repro.dmm.batched.BatchedDMM.run` and
+:meth:`~repro.dmm.batched.BatchedDMM.execute_plan` both execute through
+it.  The numba backend subclasses it and replaces only the two hot
+primitives (congestion counting and data movement), so the loop — the
+statically resolved closed form, the residual congestion count, the
+timing arithmetic — exists once.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ __all__ = [
     "BackendUnavailable",
     "StagedPlan",
     "PlanBackend",
-    "InstructionLoopBackend",
+    "NumpyBackend",
 ]
 
 
@@ -70,7 +71,7 @@ class StagedPlan:
     program:
         The staged instruction blocks.
     state:
-        Backend-private preparation (compiled kernels, device arrays);
+        Backend-private preparation (compiled kernels);
         ``None`` for backends that execute the program in place.
     """
 
@@ -84,11 +85,11 @@ class StagedPlan:
 class PlanBackend(Protocol):
     """Execution backend for staged batched programs."""
 
-    #: registry name (``"numpy"``, ``"numba"``, ``"cupy"``, ...).
+    #: registry name (``"numpy"``, ``"numba"``, ...).
     name: str
 
     def available(self) -> bool:
-        """Can this backend execute here (deps importable, device up)?"""
+        """Can this backend execute here (deps importable)?"""
 
     def unavailable_reason(self) -> Optional[str]:
         """Why :meth:`available` is False (``None`` when available)."""
@@ -100,15 +101,15 @@ class PlanBackend(Protocol):
         """Run a staged plan; bit-identical to the reference path."""
 
 
-class InstructionLoopBackend:
-    """Shared host-side instruction loop (numpy reference semantics).
+class NumpyBackend:
+    """The reference backend: the host instruction loop over numpy.
 
-    The loop is exactly :meth:`repro.dmm.batched.BatchedDMM.execute_plan`'s:
+    For each instruction of the program:
 
-    * a statically *resolved* instruction (plan-certified constant
-      per-warp congestion, empty dynamic-warp set) settles its
-      congestion matrix and completion time in closed form and only
-      moves data;
+    * a *fully static* instruction (constant per-warp congestion, empty
+      dynamic-warp set — every plan-resolved step, and every step whose
+      warps are all row-local or empty) settles its congestion matrix
+      and completion time in closed form and only moves data;
     * every other instruction counts congestion (planned matrix >
       pre-staged bank keys > raw addresses) and runs the vectorized
       timing arithmetic.
@@ -118,7 +119,7 @@ class InstructionLoopBackend:
     exactness contract — stays shared.
     """
 
-    name = "abstract"
+    name = "numpy"
 
     def available(self) -> bool:
         return True
@@ -138,6 +139,12 @@ class InstructionLoopBackend:
     def _prepare(self, machine: "BatchedDMM", program: "BatchedProgram") -> Any:
         """Backend-private staging hook (default: nothing to prepare)."""
         return None
+
+    def run(
+        self, machine: "BatchedDMM", program: "BatchedProgram"
+    ) -> "BatchedExecutionResult":
+        """Stage ``program`` on ``machine`` and execute it."""
+        return self.execute(self.stage(machine, program))
 
     def execute(self, staged: StagedPlan) -> "BatchedExecutionResult":
         from repro.dmm.batched import (
@@ -160,8 +167,8 @@ class InstructionLoopBackend:
             static = instr.static_congestions
             dyn = instr.dynamic_warps
             if static is not None and dyn is not None and dyn.size == 0:
-                # Statically resolved: the certified constant vector,
-                # and StageSchedule's closed form on its total.
+                # Fully static: the constant per-warp vector, and
+                # StageSchedule's closed form on its total.
                 cong = np.broadcast_to(
                     static[None, :], (machine.trials, static.size)
                 )

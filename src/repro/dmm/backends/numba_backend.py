@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 import numpy as np
 
-from repro.dmm.backends.base import BackendUnavailable, InstructionLoopBackend, StagedPlan
+from repro.dmm.backends.base import BackendUnavailable, NumpyBackend, StagedPlan
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dmm.batched import BatchedDMM, BatchedInstruction, BatchedProgram
@@ -38,7 +38,7 @@ __all__ = ["NumbaBackend"]
 Kernels = Dict[str, Callable[..., None]]
 
 
-class NumbaBackend(InstructionLoopBackend):
+class NumbaBackend(NumpyBackend):
     """Compiled-kernel backend, bit-identical to the numpy reference.
 
     Parameters
@@ -91,28 +91,19 @@ class NumbaBackend(InstructionLoopBackend):
         instr: "BatchedInstruction",
         staged: StagedPlan,
     ) -> np.ndarray:
-        if instr.planned_congestions is not None:
-            return instr.planned_congestions
-        w, trials = machine.w, machine.trials
-        static = instr.static_congestions
-        if static is not None:
-            kernels: Kernels = staged.state
-            n_warps = instr.p // w
-            cong = np.empty((trials, n_warps), dtype=np.int64)
-            cong[:] = static
-            dyn = instr.dynamic_warps
-            if dyn is not None and dyn.size:
-                assert instr.bank_keys is not None
-                keys = instr.bank_keys.reshape(-1, w)
-                runs = np.empty(keys.shape[0], dtype=np.int64)
-                kernels["hist_congestion"](keys, w, runs)
-                cong[:, dyn] = runs.reshape(trials, dyn.size)
-            return cong
-        # Raw-address fallback (hand-built batches): the reference
-        # count is already one vectorized call; nothing to compile.
         from repro.dmm.batched import instruction_congestions
 
-        return instruction_congestions(instr, w, trials)
+        kernels: Kernels = staged.state
+
+        def hist_block(bank_keys: np.ndarray, w: int) -> np.ndarray:
+            keys = bank_keys.reshape(-1, w)
+            runs = np.empty(keys.shape[0], dtype=np.int64)
+            kernels["hist_congestion"](keys, w, runs)
+            return runs
+
+        # The raw-address fallback (hand-built batches) is already one
+        # vectorized call; only the bank-key count is compiled.
+        return instruction_congestions(instr, machine.w, machine.trials, hist_block)
 
     def _move_data(
         self,

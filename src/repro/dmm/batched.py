@@ -31,7 +31,7 @@ trial's lane order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 import numpy.typing as npt
@@ -40,8 +40,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.dmm.backends import PlanBackend
 
 from repro.core.congestion import congestion_batch, max_run_lengths
+from repro.dmm.backends.base import NumpyBackend
 from repro.dmm.memory import BatchedMemory
-from repro.dmm.mmu import batch_completion_times
 from repro.dmm.trace import INACTIVE, MemoryProgram
 from repro.util.validation import check_latency, check_positive_int
 
@@ -76,7 +76,10 @@ def warp_congestion_block(bank_keys: np.ndarray, w: int) -> np.ndarray:
 
 
 def instruction_congestions(
-    instr: "BatchedInstruction", w: int, trials: int
+    instr: "BatchedInstruction",
+    w: int,
+    trials: int,
+    count_warps: Callable[[np.ndarray, int], np.ndarray] = warp_congestion_block,
 ) -> np.ndarray:
     """Per-trial, per-warp congestion of one staged instruction.
 
@@ -85,8 +88,9 @@ def instruction_congestions(
     stage this and nothing else, so it **must** win over the address
     fallback, whose flat pre-baked addresses carry per-trial offsets
     that skew ``addr % w``), then the pre-staged fast path (static
-    congestions + bank keys), then the inactive-aware address count.
-    Shape ``(trials, n_warps)``.
+    congestions + bank keys, the dynamic warps counted by
+    ``count_warps`` with :func:`warp_congestion_block`'s contract),
+    then the inactive-aware address count.  Shape ``(trials, n_warps)``.
     """
     if instr.planned_congestions is not None:
         return instr.planned_congestions
@@ -96,7 +100,7 @@ def instruction_congestions(
         cong[:] = instr.static_congestions
         dyn = instr.dynamic_warps
         if dyn.size:
-            cong[:, dyn] = warp_congestion_block(instr.bank_keys, w).reshape(
+            cong[:, dyn] = count_warps(instr.bank_keys, w).reshape(
                 trials, dyn.size
             )
         return cong
@@ -472,18 +476,7 @@ class BatchedDMM:
 
     def run(self, program: BatchedProgram) -> BatchedExecutionResult:
         """Execute the batch; returns per-trial data and exact timing."""
-        self._check_program(program)
-        registers: dict[str, np.ndarray] = {}
-        time_units = np.zeros(self.trials, dtype=np.int64)
-        result = BatchedExecutionResult(
-            time_units=time_units, registers=registers, memory=self.memory
-        )
-        for instr in program:
-            trace = self._execute(instr, registers)
-            result.traces.append(trace)
-            time_units += trace.time_units
-        result.time_units = time_units
-        return result
+        return _HOST_LOOP.run(self, program)
 
     def execute_plan(
         self,
@@ -508,33 +501,19 @@ class BatchedDMM:
         saving is wall-clock.
 
         ``backend`` selects *where* the loop runs: ``None`` keeps the
-        numpy reference path, a registered name (``"numba"``,
-        ``"cupy"``, ``"auto"``) or a
+        numpy reference loop, a registered name (``"numpy"``,
+        ``"numba"``, ``"auto"``) or a
         :class:`~repro.dmm.backends.PlanBackend` instance routes through
         :func:`repro.dmm.backends.resolve_backend`.  Every backend is
         bit-identical to the reference; the choice only moves
         wall-clock.
         """
+        if backend is None:
+            return _HOST_LOOP.run(self, program)
         from repro.dmm.backends import resolve_backend
 
-        chosen = resolve_backend(
-            "numpy" if backend is None else backend
-        ).backend
+        chosen = resolve_backend(backend).backend
         return chosen.execute(chosen.stage(self, program))
-
-    def _congestions(self, instr: BatchedInstruction) -> np.ndarray:
-        """Per-trial, per-warp congestion, shape ``(T, n_warps)``."""
-        return instruction_congestions(instr, self.w, self.trials)
-
-    def _execute(
-        self, instr: BatchedInstruction, registers: dict[str, np.ndarray]
-    ) -> BatchedInstructionTrace:
-        cong = self._congestions(instr)
-        times = batch_completion_times(cong.sum(axis=1), self.latency)
-        self._move_data(instr, registers)
-        return BatchedInstructionTrace(
-            op=instr.op, congestions=cong, time_units=times
-        )
 
     def _move_data(
         self, instr: BatchedInstruction, registers: dict[str, np.ndarray]
@@ -580,3 +559,8 @@ class BatchedDMM:
                 self.memory.write_flat(addresses, source)
             else:
                 self.memory.write(addresses, source)
+
+
+#: The host instruction loop behind :meth:`BatchedDMM.run` and the
+#: default :meth:`BatchedDMM.execute_plan`.
+_HOST_LOOP = NumpyBackend()

@@ -9,7 +9,7 @@ coordinator verifies every envelope before accepting it, so a worker
 that silently returns garbage is indistinguishable from one that
 crashed: the shard is simply re-executed.
 
-Three backends implement the :class:`Worker` protocol:
+Two backends implement the :class:`Worker` protocol:
 
 ``inproc`` — :class:`InProcessWorker`
     Executes in the coordinator's process at ``result()`` time.  The
@@ -18,20 +18,15 @@ Three backends implement the :class:`Worker` protocol:
 ``pool`` — :class:`PoolWorker`
     One single-process ``ProcessPoolExecutor`` per worker, so a
     ``kill_worker`` fault (``os._exit`` in the subprocess) kills *that
-    worker only* — the failure isolation a multi-host fabric would
-    have, on one machine.
-``spawned`` — :class:`SpawnedWorker`
-    A multi-host-*shaped* stub: the call is serialized to wire bytes
-    and the envelope round-trips through ``pickle`` exactly as it
-    would over a socket, proving the protocol needs no shared memory.
-    Execution itself is local (this repo has no remote hosts to talk
-    to), which keeps the backend honest *and* testable.
+    worker only*, and every call and envelope crosses a process
+    boundary by pickling — the coordinator shares no memory with it.
 
-Every backend funnels through module-level
+Both backends funnel through module-level
 :func:`execute_fabric_call`, the single choke point where worker-level
-faults (``kill_worker``, ``corrupt_result``) and the PR-5 shard faults
-are injected — the same single-choke-point design that makes chaos
-schedules uniform across worker counts and backends.
+faults (``kill_worker``, ``corrupt_result``) and the shard faults of
+:mod:`repro.resilience.faults` are injected — the same
+single-choke-point design that makes chaos schedules uniform across
+worker counts and backends.
 """
 
 from __future__ import annotations
@@ -51,7 +46,6 @@ __all__ = [
     "FabricCall",
     "InProcessWorker",
     "PoolWorker",
-    "SpawnedWorker",
     "WORKER_BACKENDS",
     "Worker",
     "decode_result",
@@ -77,9 +71,9 @@ class FabricCall:
     """One shard attempt, addressed to one worker.
 
     Picklable in full (``body`` must be a module-level callable, the
-    same constraint the pool supervisor imposes) so any backend —
-    in-process, subprocess, or wire-serialized — receives the identical
-    work description.
+    same constraint the pool supervisor imposes) so either backend —
+    in-process or subprocess — receives the identical work
+    description.
 
     Attributes
     ----------
@@ -274,47 +268,9 @@ class PoolWorker:
             self._pool = None
 
 
-class SpawnedWorker:
-    """Multi-host-shaped stub: everything crosses a byte boundary.
-
-    ``submit`` serializes the call to wire bytes; ``result``
-    deserializes them, executes, and round-trips the envelope through
-    bytes again.  No object crosses by reference, so anything this
-    backend can run, a remote host speaking the same two-message
-    protocol could run too — the interface contract the ROADMAP's
-    multi-host fabric needs, kept testable on one machine.
-    """
-
-    kind = "spawned"
-
-    def __init__(self, worker_id: int) -> None:
-        self.worker_id = worker_id
-        self._wire: bytes | None = None
-
-    def submit(self, call: FabricCall) -> None:
-        """Serialize the call to wire bytes (the \"send\")."""
-        if self._wire is not None:
-            raise RuntimeError(f"worker {self.worker_id} already has a pending call")
-        self._wire = pickle.dumps(call)
-
-    def result(self, timeout: float | None = None) -> dict:
-        """Execute from wire bytes, returning a byte-round-tripped envelope."""
-        if self._wire is None:
-            raise RuntimeError(f"worker {self.worker_id} has no pending call")
-        wire, self._wire = self._wire, None
-        call = pickle.loads(wire)
-        envelope = execute_fabric_call(call, in_subprocess=False)
-        return pickle.loads(pickle.dumps(envelope))
-
-    def close(self) -> None:
-        """Drop any unsent wire bytes (nothing else to release)."""
-        self._wire = None
-
-
 #: Backend name -> constructor, the registry ``--fabric backend=...``
 #: selects from.
 WORKER_BACKENDS: dict[str, Callable[[int], Worker]] = {
     "inproc": InProcessWorker,
     "pool": PoolWorker,
-    "spawned": SpawnedWorker,
 }

@@ -38,7 +38,7 @@ executed on backend ``X`` (:mod:`repro.dmm.backends`) — the number CI
 gates with ``--min-speedup``.  When the requested backend is
 unavailable in this environment the row reports the graceful numpy
 fallback and the gate is skipped with a warning rather than failing.
-``--plan --compare-backends`` benchmarks every registered backend
+``--plan --compare-backends`` benchmarks both registered backends
 side by side (one row per ``w`` x app x backend; ``--w`` accepts
 several widths), which is how ``BENCH_backends.json`` is produced.
 """
@@ -63,7 +63,7 @@ from repro.core.mappings import (
     sample_shift_batch,
 )
 from repro.util.rng import SeedLike, as_generator
-from repro.util.validation import check_positive_int
+from repro.util.validation import check_positive_int, int_at_least
 
 __all__ = [
     "DEFAULT_BENCH_APPS",
@@ -666,7 +666,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="warp width(s) / banks; several run back to back (default 32)",
     )
     parser.add_argument(
-        "--trials", type=int, default=100, help="mapping redraws per app (default 100)"
+        "--trials",
+        type=int_at_least(1),
+        default=100,
+        help="mapping redraws per app (default 100)",
     )
     parser.add_argument(
         "--mapping",
@@ -709,10 +712,11 @@ def build_parser() -> argparse.ArgumentParser:
         choices=BACKEND_CHOICES,
         default=None,
         help=(
-            "with --plan: execute the plan path on this backend and "
-            "compare against the numpy reference (default apps: "
-            f"{' '.join(DEFAULT_BACKEND_APPS)}); an unavailable "
-            "backend falls back to numpy with a warning"
+            "with --plan: execute the plan path on this backend (numpy, "
+            "the reference loop, or numba, its compiled kernels; auto "
+            "picks numba when importable) and compare against the numpy "
+            f"reference (default apps: {' '.join(DEFAULT_BACKEND_APPS)}); "
+            "an unavailable backend falls back to numpy with a warning"
         ),
     )
     parser.add_argument(

@@ -7,13 +7,40 @@ error messages uniform and the call sites terse.
 
 from __future__ import annotations
 
+import argparse
+from typing import Callable
+
 __all__ = [
+    "int_at_least",
     "check_positive_int",
     "check_nonnegative_int",
     "check_power_of_two",
     "check_bank_count",
     "check_latency",
 ]
+
+
+def int_at_least(minimum: int, hint: str = "") -> Callable[[str], int]:
+    """An argparse ``type=`` accepting integers >= ``minimum``.
+
+    Bad input becomes a one-line usage error (exit 2) at the command
+    line instead of a traceback from deep inside the run.
+    """
+
+    def parse(value: str) -> int:
+        try:
+            number = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {value!r}"
+            ) from None
+        if number < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}{hint}, got {number}"
+            )
+        return number
+
+    return parse
 
 
 def check_positive_int(value: int, name: str) -> int:

@@ -98,8 +98,8 @@ class _StubBackend:
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert backend_names() == ("numpy", "numba", "cupy")
-        assert BACKEND_CHOICES == ("auto", "numpy", "numba", "cupy")
+        assert backend_names() == ("numpy", "numba")
+        assert BACKEND_CHOICES == ("auto", "numpy", "numba")
         assert set(AUTO_ORDER) == set(backend_names())
 
     def test_numpy_always_available(self):
@@ -294,10 +294,10 @@ def test_python_kernel_numba_backend_matches_scalar(app, family):
         _assert_trial_matches(res, t, scalar_result, machine)
 
 
-@pytest.mark.parametrize("name", ["numba", "cupy"])
+@pytest.mark.parametrize("name", ["numba"])
 @pytest.mark.parametrize("family", PLAN_FAMILIES)
 def test_real_backend_matches_numpy_reference(name, family):
-    """Real numba/cupy (when installed): identical results to numpy."""
+    """Real numba (when installed): identical results to numpy."""
     backend = get_backend(name)
     if not backend.available():
         pytest.skip(f"{name} unavailable: {backend.unavailable_reason()}")
@@ -367,13 +367,6 @@ class TestStageExecuteContract:
         if backend.available():
             pytest.skip("numba is installed here")
         with pytest.raises(BackendUnavailable, match="numba backend cannot stage"):
-            self._staged(backend)
-
-    def test_cupy_stage_without_cupy_raises(self):
-        backend = get_backend("cupy")
-        if backend.available():
-            pytest.skip("cupy + a CUDA device are present here")
-        with pytest.raises(BackendUnavailable, match="cupy backend cannot stage"):
             self._staged(backend)
 
     def test_staged_plan_reexecutes(self):

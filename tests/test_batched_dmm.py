@@ -21,6 +21,7 @@ from repro.core.mappings import (
 )
 from repro.dmm import BatchedDMM, stack_programs
 from repro.dmm.machine import DiscreteMemoryMachine
+from repro.dmm.mmu import batch_completion_times
 from repro.dmm.trace import INACTIVE, MemoryProgram, read, write
 from repro.util.rng import as_generator
 
@@ -151,6 +152,34 @@ def test_batched_matches_scalar_exactly(app, mapping_name):
         machine = scalar_kernel.make_machine(latency=4)
         scalar_result = machine.run(scalar_kernel.program())
         _assert_trial_matches(res, t, scalar_result, machine)
+
+
+@pytest.mark.parametrize("mapping_name", MAPPING_NAMES)
+@pytest.mark.parametrize("app", sorted(BUILTIN_PROGRAMS))
+def test_run_matches_unplanned_execute_plan(app, mapping_name):
+    """``run`` and ``execute_plan(backend=None)`` agree exactly on an
+    unplanned batch, and every step's time (fully static steps take the
+    loop's closed form) is the counted path's ``total + l - 1`` or 0."""
+    shifts = sample_shift_batch(mapping_name, W, TRIALS, as_generator(SEED))
+    kernel = build_app_program(app, RAWMapping(W), seed=SEED)
+    ran = kernel.make_batched_machine(TRIALS, 4).run(kernel.program_batch(shifts))
+    planned = kernel.make_batched_machine(TRIALS, 4).execute_plan(
+        kernel.program_batch(shifts), backend=None
+    )
+    assert np.array_equal(ran.time_units, planned.time_units)
+    assert len(ran.traces) == len(planned.traces)
+    for rt, pt in zip(ran.traces, planned.traces):
+        assert rt.op == pt.op
+        assert rt.congestions.dtype == pt.congestions.dtype
+        assert np.array_equal(rt.congestions, pt.congestions)
+        assert np.array_equal(rt.time_units, pt.time_units)
+        assert np.array_equal(
+            rt.time_units, batch_completion_times(rt.congestions.sum(axis=1), 4)
+        )
+    assert set(ran.registers) == set(planned.registers)
+    for reg, values in ran.registers.items():
+        assert np.array_equal(values, planned.registers[reg])
+    assert np.array_equal(ran.memory.store, planned.memory.store)
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,21 @@ class TestMain:
     def test_exit_code_zero(self):
         assert main(["fig6"]) == 0
 
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "command", ["table2", "table3", "table4", "sweep-all", "bench-dmm"]
+    )
+    def test_bad_trials_is_a_usage_error(self, command, trials, capsys):
+        """``--trials`` below 1 exits 2 with one argparse error line
+        before any work runs, not a traceback (or a silent clamp)."""
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--trials", trials])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (line,) = [ln for ln in err.splitlines() if "error:" in ln]
+        assert "argument --trials:" in line
+
 
 class TestMarkdownFormat:
     def test_table1_md(self):

@@ -21,7 +21,6 @@ from repro.fabric import (
     InProcessWorker,
     PoolWorker,
     ShardQuarantined,
-    SpawnedWorker,
     FabricCall,
     open_envelope,
     parse_fabric_spec,
@@ -92,10 +91,10 @@ def test_builtin_worker_plan_recovers_bit_identically(plan_name, workers, baseli
     )
 
 
-@pytest.mark.parametrize("backend", ["inproc", "spawned", "pool"])
+@pytest.mark.parametrize("backend", ["inproc", "pool"])
 def test_backends_bit_identical(backend, baseline):
-    """Every worker backend produces the same bits (the ``spawned``
-    stub additionally proves the envelope survives wire pickling)."""
+    """Both worker backends produce the same bits (``pool`` also proves
+    the envelope survives pickling across a process boundary)."""
     stats, collector = run_fabric(None, workers=2, backend=backend)
     assert stats == baseline
     assert all(w.backend == backend for w in collector.fabric_workers.values())
@@ -323,9 +322,9 @@ def test_envelope_roundtrip_and_tamper_detection():
 
 
 def test_worker_protocol_backends():
-    """All three backends execute a call and deliver a valid envelope."""
+    """Both backends execute a call and deliver a valid envelope."""
     call = FabricCall(body=_shard_body, payload=5, shard=0, attempt=0, worker=0)
-    for cls in (InProcessWorker, SpawnedWorker, PoolWorker):
+    for cls in (InProcessWorker, PoolWorker):
         worker = cls(0)
         try:
             worker.submit(call)

@@ -154,5 +154,22 @@ def test_fabric_flag_output_matches_plain_run(tmp_path, capsys):
     plain = capsys.readouterr().out
     assert repro_main([*base, "--fabric", "workers=2"]) == 0
     assert capsys.readouterr().out == plain
-    assert repro_main([*base, "--fabric", "workers=4,backend=spawned"]) == 0
+    assert repro_main([*base, "--fabric", "workers=4,backend=pool"]) == 0
     assert capsys.readouterr().out == plain
+
+
+@pytest.mark.parametrize("command", [["table2"], ["sweep-all"]])
+@pytest.mark.parametrize(
+    "spec", ["backend=nope", "workers=0", "backend=spawned", "workers=x"]
+)
+def test_bad_fabric_spec_is_a_usage_error(command, spec, capsys):
+    """A bad ``--fabric`` spec exits 2 with one argparse error line that
+    lists the valid backends, not a traceback from the engine."""
+    with pytest.raises(SystemExit) as exc:
+        repro_main([*command, "--trials", "5", "--fabric", spec])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = [ln for ln in err.splitlines() if "error:" in ln]
+    assert "argument --fabric:" in line
+    assert "inproc, pool" in line
