@@ -8,7 +8,7 @@ or, to verify without writing (CI / pre-commit; exits 1 on drift):
 
     PYTHONPATH=src python tests/data/regen_baselines.py --check
 
-Two artifacts live next to this script:
+Three artifacts live next to this script:
 
 ``certify_baseline.json``
     The exact stdout of ``python -m repro certify --mapping ALL
@@ -20,10 +20,17 @@ Two artifacts live next to this script:
     every builtin app skeleton at w=8, seed=2014: def-use edges,
     liveness, dead steps, duplicate-merge counts.
 
-``tests/test_baselines.py`` asserts both checked-in files are
+``apps_baseline.json``
+    Golden outcomes of the ``run_*`` app entry points (FFT, scan,
+    bitonic sort, shearsort, both stencil assignments, every gather
+    distribution and SpMV structure, the three transposes) under
+    RAW/RAS/RAP at w=8 and 16, seed=2014: correctness, time units,
+    pipeline stages and congestion.
+
+``tests/test_baselines.py`` asserts the checked-in files are
 byte-identical to what this script writes, so the baselines can never
 drift from the code that defines them: change the analysis, rerun
-this script, commit both.
+this script, commit the result.
 """
 
 from __future__ import annotations
@@ -68,7 +75,83 @@ def ir_baseline_text() -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+#: widths, mappings and seed of the golden app outcomes.
+APPS_WIDTHS = (8, 16)
+APPS_MAPPINGS = ("RAW", "RAS", "RAP")
+APPS_SEED = 2014
+
+
+def apps_baseline_text() -> str:
+    """Golden outcomes of every ``run_*`` entry point, as one JSON document.
+
+    One record per (app variant, mapping, width): every outcome field
+    except the machine trace, and per-warp read/write congestions for
+    the transposes.
+    """
+    from dataclasses import asdict
+
+    from repro.access.transpose import TRANSPOSE_NAMES, run_transpose
+    from repro.apps import (
+        GATHER_DISTRIBUTIONS,
+        SPMV_STRUCTURES,
+        STENCIL_ASSIGNMENTS,
+        run_bitonic_sort,
+        run_fft,
+        run_gather,
+        run_scan,
+        run_shearsort,
+        run_spmv,
+        run_stencil,
+    )
+    from repro.core.mappings import mapping_by_name
+
+    seed = APPS_SEED
+    runs = {
+        "fft": lambda m: run_fft(m, seed=seed),
+        "scan": lambda m: run_scan(m, seed=seed),
+        "sort": lambda m: run_bitonic_sort(m, seed=seed),
+        "shearsort": lambda m: run_shearsort(m, seed=seed),
+    }
+    for assignment in STENCIL_ASSIGNMENTS:
+        runs[f"stencil_{assignment}"] = (
+            lambda m, a=assignment: run_stencil(m, a, seed=seed)
+        )
+    for dist in GATHER_DISTRIBUTIONS:
+        runs[f"gather_{dist}"] = (
+            lambda m, d=dist: run_gather(m, distribution=d, seed=seed)
+        )
+    for structure in SPMV_STRUCTURES:
+        runs[f"spmv_{structure}"] = (
+            lambda m, s=structure: run_spmv(m, structure=s, seed=seed)
+        )
+    for kind in TRANSPOSE_NAMES:
+        runs[f"transpose_{kind.lower()}"] = (
+            lambda m, k=kind: run_transpose(k, m, seed=seed)
+        )
+
+    records = {}
+    for app, run in runs.items():
+        for w in APPS_WIDTHS:
+            for name in APPS_MAPPINGS:
+                outcome = asdict(run(mapping_by_name(name, w, seed)))
+                execution = outcome.pop("execution", None)
+                if execution is not None:
+                    outcome["read_congestions"] = list(
+                        execution["traces"][0]["congestions"]
+                    )
+                    outcome["write_congestions"] = list(
+                        execution["traces"][1]["congestions"]
+                    )
+                records[f"{app}/{name}/w{w}"] = outcome
+    # One record per line keeps the artifact reviewable in a diff.
+    lines = ",\n".join(
+        f"  {json.dumps(key)}: {json.dumps(value)}" for key, value in records.items()
+    )
+    return f'{{\n "seed": {seed},\n "outcomes": {{\n{lines}\n }}\n}}\n'
+
+
 BASELINES = {
+    "apps_baseline.json": apps_baseline_text,
     "certify_baseline.json": certify_baseline_text,
     "ir_baseline.json": ir_baseline_text,
 }

@@ -1,8 +1,9 @@
 """The checked-in analysis baselines match their regeneration script.
 
 ``tests/data/regen_baselines.py`` is the single source of truth for
-``certify_baseline.json`` (the CI certify diff artifact) and
-``ir_baseline.json`` (golden IR dumps): these tests assert the
+``certify_baseline.json`` (the CI certify diff artifact),
+``ir_baseline.json`` (golden IR dumps) and ``apps_baseline.json``
+(golden ``run_*`` app outcomes): these tests assert the
 committed files are byte-identical to a fresh regeneration, so a
 baseline can never be hand-edited out of sync with the analysis code.
 """
@@ -35,7 +36,9 @@ def test_every_baseline_has_a_regenerator(regen):
     assert committed == set(regen.BASELINES)
 
 
-@pytest.mark.parametrize("name", ["certify_baseline.json", "ir_baseline.json"])
+@pytest.mark.parametrize(
+    "name", ["apps_baseline.json", "certify_baseline.json", "ir_baseline.json"]
+)
 def test_checked_in_baseline_is_byte_identical_to_regen(regen, name):
     fresh = regen.BASELINES[name]()
     committed = (DATA_DIR / name).read_text()
