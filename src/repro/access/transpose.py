@@ -20,8 +20,10 @@ that is precisely the RAP trick: CRSW's stride write to logical
 
 :func:`transpose_program` compiles an algorithm into a two-instruction
 :class:`~repro.dmm.trace.MemoryProgram` (SIMD read, then SIMD write —
-the DMM forbids mixing); :func:`run_transpose` executes it on a fresh
-machine and checks the result against ``numpy.transpose``.
+the DMM forbids mixing).  :func:`run_transpose` executes the same two
+steps as a :func:`~repro.gpu.kernel.transpose_kernel` — the skeleton
+the static certifier sees — on a fresh machine and checks the result
+against ``numpy.transpose``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.core.mappings import AddressMapping
-from repro.dmm.machine import DiscreteMemoryMachine, ExecutionResult
+from repro.dmm.machine import ExecutionResult
 from repro.dmm.trace import MemoryProgram, read, write
 from repro.util.rng import SeedLike, as_generator
 
@@ -169,15 +171,13 @@ def run_transpose(
     if matrix.shape != (w, w):
         raise ValueError(f"matrix must be {w}x{w}, got shape {matrix.shape}")
 
-    words = mapping.storage_words
-    machine = DiscreteMemoryMachine(w, latency, memory_size=2 * words)
-    machine.load(0, mapping.apply_layout(matrix))
+    from repro.gpu.kernel import transpose_kernel
 
-    program = transpose_program(kind, mapping, a_base=0, b_base=words)
-    execution = machine.run(program)
-
-    result = mapping.read_layout(machine.dump(words, words))
-    correct = bool(np.array_equal(result, matrix.T))
+    kernel = transpose_kernel(kind, mapping)
+    machine = kernel.make_machine(latency)
+    kernel.load_array(machine, "a", matrix)
+    execution = kernel.run(machine).execution
+    correct = bool(np.array_equal(kernel.read_array(machine, "b"), matrix.T))
 
     return TransposeOutcome(
         kind=kind.upper(),

@@ -1,10 +1,18 @@
-"""Application workloads built on the DMM: FFT, scan, stencil, and the
-hierarchical (global + shared) large-matrix transpose.
+"""Application workloads built on the DMM: FFT, scan, sort, stencil,
+gather, SpMV, histogram, the conflict-free zoo, and the hierarchical
+(global + shared) large-matrix transpose.
 
-Every workload also exposes its access skeleton as an uncompiled
+Every workload exposes its access skeleton as an uncompiled
 :class:`~repro.gpu.kernel.SharedMemoryKernel` via a ``build_program``
 factory, collected here in :data:`BUILTIN_PROGRAMS` so the static
 verifier (``python -m repro certify``) can reach all of them by name.
+
+Except for the histogram (whose skeleton covers only the vote reads)
+and the global transpose (which also runs global-memory phases), that
+skeleton is the app's only definition: ``run_*`` builds it, loads its
+data, and executes it with
+:meth:`~repro.gpu.kernel.SharedMemoryKernel.run`, doing the arithmetic
+host-side between steps — so the certified program is the one that runs.
 """
 
 from repro.apps.fft import FFTOutcome, bit_reverse_indices, run_fft
@@ -110,8 +118,22 @@ def build_app_program(name, mapping, seed=None):
     return factory(mapping, seed=seed)
 
 
+def app_width_error(apps, w):
+    """A one-line message naming the first of ``apps`` that cannot be
+    built at width ``w``, or ``None`` when every app can."""
+    from repro.core.mappings import RAWMapping
+
+    for app in apps:
+        try:
+            build_app_program(app, RAWMapping(w), seed=0)
+        except ValueError as exc:
+            return f"--w {w}: app {app!r} cannot run at this width: {exc}"
+    return None
+
+
 __all__ = [
     "BUILTIN_PROGRAMS",
+    "app_width_error",
     "build_app_program",
     "FFTOutcome",
     "bit_reverse_indices",

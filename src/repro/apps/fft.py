@@ -30,10 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.access.strided import strided_addresses
 from repro.core.mappings import AddressMapping
-from repro.dmm.machine import DiscreteMemoryMachine
-from repro.dmm.trace import INACTIVE, MemoryProgram, read, write
 from repro.util.rng import SeedLike, as_generator
 from repro.util.validation import check_power_of_two
 
@@ -80,32 +77,16 @@ class FFTOutcome:
     stage_congestion: tuple[int, ...]
 
 
-def _pad_to_warps(addresses: np.ndarray, p: int) -> np.ndarray:
-    """Pad a short per-thread address vector with INACTIVE lanes."""
-    out = np.full(p, INACTIVE, dtype=np.int64)
-    out[: addresses.size] = addresses
-    return out
-
-
-def _pad_values(values: np.ndarray, p: int) -> np.ndarray:
-    """Pad per-thread write values with zeros for the inactive lanes."""
-    out = np.zeros(p, dtype=np.float64)
-    out[: values.size] = values
-    return out
-
-
 def build_program(mapping: AddressMapping, seed: SeedLike = None):
-    """The FFT's access skeleton as an uncompiled, certifiable kernel.
+    """The FFT as a kernel skeleton: the definition :func:`run_fft` executes.
 
-    Mirrors :func:`run_fft` step for step — the bit-reversal
-    read/write on both planes, then every butterfly stage's four reads
-    and four writes (half the lanes active, exactly as the executor
-    pads them) — with the host-side twiddle arithmetic abstracted away
-    as ``immediate`` writes.  Addresses, masks, and hence congestion
-    are identical to the real run, so
+    The bit-reversal read/write on both planes, then every butterfly
+    stage's four reads and four writes with half the lanes active.
+    The twiddle arithmetic is host-side, so the stage writes are
+    ``immediate``: :func:`run_fft` supplies their values, and
     :func:`repro.analysis.certificates.certify_kernel` certifies the
-    real workload.  ``seed`` is accepted for registry uniformity; the
-    skeleton is deterministic.
+    same addresses and masks the run executes.  ``seed`` is accepted
+    for registry uniformity; the skeleton is deterministic.
     """
     w = mapping.w
     check_power_of_two(w, "mapping width")
@@ -171,8 +152,8 @@ def run_fft(
     seed:
         RNG seed for the random signal.
     """
+    kernel = build_program(mapping)
     w = mapping.w
-    check_power_of_two(w, "mapping width")
     n = w * w
     if signal is None:
         rng = as_generator(seed)
@@ -181,78 +162,41 @@ def run_fft(
     if signal.shape != (n,):
         raise ValueError(f"signal must have length {n}")
 
-    words = mapping.storage_words
-    re_base, im_base = 0, words
-    machine = DiscreteMemoryMachine(w, latency, memory_size=2 * words)
-    machine.load(re_base, mapping.apply_layout(signal.real.reshape(w, w)))
-    machine.load(im_base, mapping.apply_layout(signal.imag.reshape(w, w)))
+    machine = kernel.make_machine(latency)
+    kernel.load_array(machine, "re", signal.real.reshape(w, w))
+    kernel.load_array(machine, "im", signal.imag.reshape(w, w))
 
-    time_units = 0
-    total_stages = 0
-    congestions: list[int] = []
-
-    def run_prog(prog: MemoryProgram) -> dict[str, np.ndarray]:
-        nonlocal time_units, total_stages
-        result = machine.run(prog)
-        time_units += result.time_units
-        total_stages += sum(t.schedule.total_stages for t in result.traces)
-        congestions[-1] = max(congestions[-1], result.max_congestion)
-        return result.registers
-
-    # --- phase 0: bit reversal (a one-step offline permutation) -------
-    congestions.append(0)
-    rev = bit_reverse_indices(n)
-    src = strided_addresses(mapping, np.arange(n))
-    dst = strided_addresses(mapping, rev)
-    for base in (re_base, im_base):
-        prog = MemoryProgram(p=n)
-        prog.append(read(base + src, register="t"))
-        prog.append(write(base + dst, register="t"))
-        run_prog(prog)
-
-    # --- butterfly stages ---------------------------------------------
-    stages = n.bit_length() - 1
+    # Steps 0-3 are the bit reversal; butterfly stage s is the eight
+    # steps from 4 + 8s: four reads, then writes of top.re, top.im,
+    # bot.re, bot.im for the n/2 active lanes.
     half = n // 2
-    p = n  # thread grid; only n/2 lanes are active per stage
-    lanes = np.arange(half, dtype=np.int64)
-    for s in range(stages):
-        congestions.append(0)
-        block = lanes >> s
-        offset = lanes & ((1 << s) - 1)
-        a_pos = (block << (s + 1)) | offset
-        b_pos = a_pos + (1 << s)
-        twiddle = np.exp(-2j * np.pi * offset / (1 << (s + 1)))
+    outputs: list[np.ndarray] = []
 
-        a_phys = strided_addresses(mapping, a_pos)
-        b_phys = strided_addresses(mapping, b_pos)
-        # Pad AFTER applying the plane base: INACTIVE must stay -1.
-        a_re = _pad_to_warps(re_base + a_phys, p)
-        a_im = _pad_to_warps(im_base + a_phys, p)
-        b_re = _pad_to_warps(re_base + b_phys, p)
-        b_im = _pad_to_warps(im_base + b_phys, p)
+    def butterfly(index: int, regs: dict[str, np.ndarray]):
+        stage, k = divmod(index - 4, 8)
+        if index < 4 or k < 4:
+            return None
+        if k == 4:
+            offset = np.arange(half, dtype=np.int64) & ((1 << stage) - 1)
+            twiddle = np.exp(-2j * np.pi * offset / (1 << (stage + 1)))
+            a_val = regs["ar"][:half] + 1j * regs["ai"][:half]
+            b_val = (regs["br"][:half] + 1j * regs["bi"][:half]) * twiddle
+            top = a_val + b_val
+            bot = a_val - b_val
+            outputs[:] = (top.real, top.imag, bot.real, bot.imag)
+        return outputs[k - 4]
 
-        prog = MemoryProgram(p=p)
-        prog.append(read(a_re, register="ar"))
-        prog.append(read(a_im, register="ai"))
-        prog.append(read(b_re, register="br"))
-        prog.append(read(b_im, register="bi"))
-        regs = run_prog(prog)
+    report = kernel.run(machine, host=butterfly)
+    traces = report.execution.traces
+    congestions = [max(t.max_congestion for t in traces[:4])] + [
+        max(t.max_congestion for t in traces[i : i + 8])
+        for i in range(4, len(traces), 8)
+    ]
 
-        a_val = regs["ar"][:half] + 1j * regs["ai"][:half]
-        b_val = (regs["br"][:half] + 1j * regs["bi"][:half]) * twiddle
-        top = a_val + b_val
-        bot = a_val - b_val
-
-        out = MemoryProgram(p=p)
-        out.append(write(a_re, values=_pad_values(top.real, p)))
-        out.append(write(a_im, values=_pad_values(top.imag, p)))
-        out.append(write(b_re, values=_pad_values(bot.real, p)))
-        out.append(write(b_im, values=_pad_values(bot.imag, p)))
-        run_prog(out)
-
-    re_out = mapping.read_layout(machine.dump(re_base, words)).ravel()
-    im_out = mapping.read_layout(machine.dump(im_base, words)).ravel()
-    result = re_out + 1j * im_out
+    result = (
+        kernel.read_array(machine, "re").ravel()
+        + 1j * kernel.read_array(machine, "im").ravel()
+    )
     reference = np.fft.fft(signal)
     correct = bool(np.allclose(result, reference, rtol=1e-9, atol=1e-9))
 
@@ -260,7 +204,7 @@ def run_fft(
         n=n,
         mapping_name=mapping.name,
         correct=correct,
-        time_units=time_units,
-        total_stages=total_stages,
+        time_units=report.time_units,
+        total_stages=report.total_stages,
         stage_congestion=tuple(congestions),
     )

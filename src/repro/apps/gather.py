@@ -30,10 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.access.strided import strided_addresses
 from repro.core.mappings import AddressMapping
-from repro.dmm.machine import DiscreteMemoryMachine
-from repro.dmm.trace import MemoryProgram, read, write
 from repro.util.rng import SeedLike, as_generator
 from repro.util.validation import check_positive_int
 
@@ -111,35 +108,38 @@ class GatherOutcome:
     gather_congestion: int
 
 
-def build_program(
-    mapping: AddressMapping,
-    distribution: str = "same_bank",
-    seed: SeedLike = None,
-):
-    """The gather's access skeleton as a certifiable kernel.
-
-    Two steps, as in :func:`run_gather`: the data-dependent read
-    ``x[idx[t]]`` and the contiguous write-back to ``y``.  The default
-    ``same_bank`` index clustering is the deterministic pathology the
-    paper targets — and it is itself affine (lane ``j`` reads row
-    ``j``), so *both* steps certify symbolically: worst congestion
-    ``w`` under RAW, exactly 1 under RAP.  Random distributions
-    (``"uniform"``, ``"hotspot"``) enumerate the read.
-    """
+def _gather_kernel(mapping: AddressMapping, indices: np.ndarray):
+    """The gather ``y[t] = x[indices[t]]`` as a two-step kernel."""
     w = mapping.w
-    n = w * w
     from repro.gpu.kernel import KernelStep, SharedMemoryKernel
 
-    indices = make_indices(w, distribution, seed)
     steps = [
         KernelStep.from_positions("read", "x", indices, w, register="v"),
         KernelStep.from_positions(
-            "write", "y", np.arange(n, dtype=np.int64), w, register="v"
+            "write", "y", np.arange(w * w, dtype=np.int64), w, register="v"
         ),
     ]
     return SharedMemoryKernel(
         w, steps, arrays=("x", "y"), mapping=mapping, inputs=("x",)
     )
+
+
+def build_program(
+    mapping: AddressMapping,
+    distribution: str = "same_bank",
+    seed: SeedLike = None,
+):
+    """The gather's kernel skeleton over indices drawn from ``distribution``.
+
+    Two steps, the ones :func:`run_gather` executes: the
+    data-dependent read ``x[idx[t]]`` and the contiguous write-back to
+    ``y``.  The default ``same_bank`` index clustering is the
+    deterministic pathology the paper targets — and it is itself affine
+    (lane ``j`` reads row ``j``), so *both* steps certify symbolically:
+    worst congestion ``w`` under RAW, exactly 1 under RAP.  Random
+    distributions (``"uniform"``, ``"hotspot"``) enumerate the read.
+    """
+    return _gather_kernel(mapping, make_indices(mapping.w, distribution, seed))
 
 
 def run_gather(
@@ -180,23 +180,16 @@ def run_gather(
         raise IndexError(f"indices must lie in [0, {n})")
 
     x = rng.random(n)
-    words = mapping.storage_words
-    machine = DiscreteMemoryMachine(w, latency, memory_size=2 * words)
-    machine.load(0, mapping.apply_layout(x.reshape(w, w)))
-
-    gather_addr = strided_addresses(mapping, indices)
-    out_addr = words + strided_addresses(mapping, np.arange(n))
-    prog = MemoryProgram(p=n)
-    prog.append(read(gather_addr, register="v"))
-    prog.append(write(out_addr, register="v"))
-    result = machine.run(prog)
-
-    y = mapping.read_layout(machine.dump(words, words)).ravel()
+    kernel = _gather_kernel(mapping, indices)
+    machine = kernel.make_machine(latency)
+    kernel.load_array(machine, "x", x.reshape(w, w))
+    report = kernel.run(machine)
+    y = kernel.read_array(machine, "y").ravel()
     return GatherOutcome(
         distribution=distribution,
         mapping_name=mapping.name,
         correct=bool(np.array_equal(y, x[indices])),
-        time_units=result.time_units,
-        total_stages=sum(t.schedule.total_stages for t in result.traces),
-        gather_congestion=result.traces[0].max_congestion,
+        time_units=report.time_units,
+        total_stages=report.total_stages,
+        gather_congestion=report.execution.traces[0].max_congestion,
     )

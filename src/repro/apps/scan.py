@@ -20,10 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.access.strided import strided_addresses
 from repro.core.mappings import AddressMapping
-from repro.dmm.machine import DiscreteMemoryMachine
-from repro.dmm.trace import INACTIVE, MemoryProgram, read, write
 from repro.util.rng import SeedLike, as_generator
 from repro.util.validation import check_power_of_two
 
@@ -56,25 +53,13 @@ class ScanOutcome:
     level_congestion: tuple[int, ...]
 
 
-def _padded(addresses: np.ndarray, p: int) -> np.ndarray:
-    out = np.full(p, INACTIVE, dtype=np.int64)
-    out[: addresses.size] = addresses
-    return out
-
-
-def _padded_values(values: np.ndarray, p: int) -> np.ndarray:
-    out = np.zeros(p, dtype=np.float64)
-    out[: values.size] = values
-    return out
-
-
 def build_program(mapping: AddressMapping, seed: SeedLike = None):
-    """The Blelloch scan's access skeleton as a certifiable kernel.
+    """The Blelloch scan as a kernel skeleton: what :func:`run_scan` executes.
 
-    Same schedule as :func:`run_scan` — per up-sweep level two reads
-    and one write, the root clear, per down-sweep level two reads and
-    two writes — with the partial-warp padding expressed as step masks
-    and the host-computed sums as ``immediate`` writes.  ``seed`` is
+    Per up-sweep level two reads and one write, the root clear, per
+    down-sweep level two reads and two writes, with the partial warps
+    as step masks.  The sums are host-side, so every write is
+    ``immediate``; :func:`run_scan` supplies the values.  ``seed`` is
     accepted for registry uniformity; the skeleton is deterministic.
     """
     w = mapping.w
@@ -139,8 +124,8 @@ def run_scan(
     seed:
         RNG seed for random input.
     """
+    kernel = build_program(mapping)
     w = mapping.w
-    check_power_of_two(w, "mapping width")
     n = w * w
     if data is None:
         data = as_generator(seed).random(n)
@@ -148,70 +133,42 @@ def run_scan(
     if data.shape != (n,):
         raise ValueError(f"data must have length {n}")
 
-    machine = DiscreteMemoryMachine(w, latency, memory_size=mapping.storage_words)
-    machine.load(0, mapping.apply_layout(data.reshape(w, w)))
+    machine = kernel.make_machine(latency)
+    kernel.load_array(machine, "buf", data.reshape(w, w))
 
-    time_units = 0
-    total_stages = 0
-    congestion: list[int] = []
+    # Up-sweep level k is steps 3k..3k+2 (read left, read right, write
+    # right); step 3L clears the root; down-sweep level k is the four
+    # steps from 3L + 1 + 4(L-1-k) (read left, read right, write left,
+    # write right).  Level k has n >> (k + 1) active lanes.
     levels = n.bit_length() - 1
+    up = 3 * levels
 
-    def run_prog(prog: MemoryProgram) -> dict[str, np.ndarray]:
-        nonlocal time_units, total_stages
-        result = machine.run(prog)
-        time_units += result.time_units
-        total_stages += sum(t.schedule.total_stages for t in result.traces)
-        congestion[-1] = max(congestion[-1], result.max_congestion)
-        return result.registers
+    def sums(index: int, regs: dict[str, np.ndarray]):
+        if index == up:
+            return np.zeros(1)
+        if index < up:
+            level, k = divmod(index, 3)
+            active = n >> (level + 1)
+            if k == 2:
+                return regs["lv"][:active] + regs["rv"][:active]
+            return None
+        level, k = divmod(index - up - 1, 4)
+        active = n >> (levels - level)
+        if k == 2:
+            return regs["rv"][:active]
+        if k == 3:
+            return regs["rv"][:active] + regs["lv"][:active]
+        return None
 
-    # --- up-sweep (reduce) ----------------------------------------------
-    for k in range(levels):
-        congestion.append(0)
-        active = n >> (k + 1)
-        j = np.arange(active, dtype=np.int64)
-        left = (2 * j + 1) * (1 << k) - 1
-        right = (2 * j + 2) * (1 << k) - 1
-        la = _padded(strided_addresses(mapping, left), n)
-        ra = _padded(strided_addresses(mapping, right), n)
-        prog = MemoryProgram(p=n)
-        prog.append(read(la, register="lv"))
-        prog.append(read(ra, register="rv"))
-        regs = run_prog(prog)
-        summed = regs["lv"][:active] + regs["rv"][:active]
-        out = MemoryProgram(p=n)
-        out.append(write(ra, values=_padded_values(summed, n)))
-        run_prog(out)
+    report = kernel.run(machine, host=sums)
+    traces = report.execution.traces
+    bounds = [*range(0, up + 1, 3), *range(up + 1, len(traces) + 1, 4)]
+    congestion = [
+        max(t.max_congestion for t in traces[lo:hi])
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
 
-    # --- clear the root ----------------------------------------------------
-    congestion.append(0)
-    root = _padded(strided_addresses(mapping, np.array([n - 1])), n)
-    prog = MemoryProgram(p=n)
-    prog.append(write(root, values=np.zeros(n)))
-    run_prog(prog)
-
-    # --- down-sweep -----------------------------------------------------------
-    for k in range(levels - 1, -1, -1):
-        congestion.append(0)
-        active = n >> (k + 1)
-        j = np.arange(active, dtype=np.int64)
-        left = (2 * j + 1) * (1 << k) - 1
-        right = (2 * j + 2) * (1 << k) - 1
-        la = _padded(strided_addresses(mapping, left), n)
-        ra = _padded(strided_addresses(mapping, right), n)
-        prog = MemoryProgram(p=n)
-        prog.append(read(la, register="lv"))
-        prog.append(read(ra, register="rv"))
-        regs = run_prog(prog)
-        new_left = regs["rv"][:active]
-        new_right = regs["rv"][:active] + regs["lv"][:active]
-        out = MemoryProgram(p=n)
-        out.append(write(la, values=_padded_values(new_left, n)))
-        out.append(write(ra, values=_padded_values(new_right, n)))
-        run_prog(out)
-
-    result = mapping.read_layout(
-        machine.dump(0, mapping.storage_words)
-    ).ravel()
+    result = kernel.read_array(machine, "buf").ravel()
     reference = np.concatenate([[0.0], np.cumsum(data)[:-1]])
     correct = bool(np.allclose(result, reference, rtol=1e-12, atol=1e-9))
 
@@ -219,7 +176,7 @@ def run_scan(
         n=n,
         mapping_name=mapping.name,
         correct=correct,
-        time_units=time_units,
-        total_stages=total_stages,
+        time_units=report.time_units,
+        total_stages=report.total_stages,
         level_congestion=tuple(congestion),
     )

@@ -21,10 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.access.strided import strided_addresses
 from repro.core.mappings import AddressMapping
-from repro.dmm.machine import DiscreteMemoryMachine
-from repro.dmm.trace import INACTIVE, MemoryProgram, read, write
 from repro.util.rng import SeedLike, as_generator
 from repro.util.validation import check_power_of_two
 
@@ -79,13 +76,13 @@ class SortOutcome:
 
 
 def build_program(mapping: AddressMapping, seed: SeedLike = None):
-    """The bitonic network's access skeleton as a certifiable kernel.
+    """The bitonic network as a kernel skeleton, run by :func:`run_bitonic_sort`.
 
-    Every compare-exchange stage of :func:`run_bitonic_sort` becomes
-    four steps — read both partners, write both back — with the
-    pair-leader half-warps as step masks and the host-side compare as
-    ``immediate`` writes.  The compare-exchange schedule is fixed by
-    ``n``, so the keys (and ``seed``, accepted for registry
+    Every compare-exchange stage is four steps — read both partners,
+    write both back — with the pair-leader half-warps as step masks.
+    The compare is host-side, so the writes are ``immediate`` and
+    :func:`run_bitonic_sort` supplies their values.  The schedule is
+    fixed by ``n``, so the keys (and ``seed``, accepted for registry
     uniformity) do not affect the access stream.
     """
     w = mapping.w
@@ -135,8 +132,8 @@ def run_bitonic_sort(
     seed:
         RNG seed for random keys.
     """
+    kernel = build_program(mapping)
     w = mapping.w
-    check_power_of_two(w, "mapping width")
     n = w * w
     if keys is None:
         keys = as_generator(seed).random(n)
@@ -144,62 +141,35 @@ def run_bitonic_sort(
     if keys.shape != (n,):
         raise ValueError(f"keys must have length {n}")
 
-    machine = DiscreteMemoryMachine(w, latency, memory_size=mapping.storage_words)
-    machine.load(0, mapping.apply_layout(keys.reshape(w, w)))
+    machine = kernel.make_machine(latency)
+    kernel.load_array(machine, "keys", keys.reshape(w, w))
 
-    time_units = 0
-    total_stages = 0
-    max_congestion = 0
-    p = n  # thread grid; only the n/2 pair leaders are active
+    # Stage s is steps 4s..4s+3: read leaders, read partners, write
+    # leaders, write partners; the n/2 leaders are the active lanes.
+    schedule = bitonic_pairs(n)
+    t = np.arange(n, dtype=np.int64)
 
-    for _, j, ascending in bitonic_pairs(n):
-        t = np.arange(n, dtype=np.int64)
-        leaders = np.flatnonzero((t & j) == 0)
-        partners = leaders | j
-        asc = ascending[leaders]
-
-        a_addr = np.full(p, INACTIVE, dtype=np.int64)
-        b_addr = np.full(p, INACTIVE, dtype=np.int64)
-        a_addr[: leaders.size] = strided_addresses(mapping, leaders)
-        b_addr[: leaders.size] = strided_addresses(mapping, partners)
-
-        prog = MemoryProgram(p=p)
-        prog.append(read(a_addr, register="a"))
-        prog.append(read(b_addr, register="b"))
-        result = machine.run(prog)
-        time_units += result.time_units
-        total_stages += sum(tr.schedule.total_stages for tr in result.traces)
-        max_congestion = max(max_congestion, result.max_congestion)
-
-        a_val = result.registers["a"][: leaders.size]
-        b_val = result.registers["b"][: leaders.size]
+    def compare(index: int, regs: dict[str, np.ndarray]):
+        stage, k = divmod(index, 4)
+        if k < 2:
+            return None
+        _, j, ascending = schedule[stage]
+        asc = ascending[(t & j) == 0]
+        a_val = regs["a"][: n // 2]
+        b_val = regs["b"][: n // 2]
         lo = np.minimum(a_val, b_val)
         hi = np.maximum(a_val, b_val)
-        new_a = np.where(asc, lo, hi)
-        new_b = np.where(asc, hi, lo)
+        return np.where(asc, lo, hi) if k == 2 else np.where(asc, hi, lo)
 
-        vals_a = np.zeros(p)
-        vals_b = np.zeros(p)
-        vals_a[: leaders.size] = new_a
-        vals_b[: leaders.size] = new_b
-        out = MemoryProgram(p=p)
-        out.append(write(a_addr, values=vals_a))
-        out.append(write(b_addr, values=vals_b))
-        result = machine.run(out)
-        time_units += result.time_units
-        total_stages += sum(tr.schedule.total_stages for tr in result.traces)
-        max_congestion = max(max_congestion, result.max_congestion)
-
-    out_keys = mapping.read_layout(
-        machine.dump(0, mapping.storage_words)
-    ).ravel()
+    report = kernel.run(machine, host=compare)
+    out_keys = kernel.read_array(machine, "keys").ravel()
     correct = bool(np.array_equal(out_keys, np.sort(keys)))
 
     return SortOutcome(
         n=n,
         mapping_name=mapping.name,
         correct=correct,
-        time_units=time_units,
-        total_stages=total_stages,
-        max_congestion=max_congestion,
+        time_units=report.time_units,
+        total_stages=report.total_stages,
+        max_congestion=report.execution.max_congestion,
     )

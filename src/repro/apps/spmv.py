@@ -29,10 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.access.strided import strided_addresses
 from repro.core.mappings import AddressMapping
-from repro.dmm.machine import DiscreteMemoryMachine
-from repro.dmm.trace import INACTIVE, MemoryProgram, read
 from repro.util.rng import SeedLike, as_generator
 from repro.util.validation import check_positive_int
 
@@ -154,26 +151,11 @@ class SpmvOutcome:
     worst_gather_congestion: int
 
 
-def build_program(
-    mapping: AddressMapping,
-    structure: str = "banded",
-    k: int = 4,
-    seed: SeedLike = None,
-):
-    """The ELL SpMV's access skeleton as a certifiable kernel.
-
-    One read step per entry slot (``k`` gathers of ``x[cols[:, s]]``),
-    exactly the instruction stream of :func:`run_spmv`; padding
-    entries become masked-out lanes.  The column indices are matrix
-    data, so the steps generally enumerate — which is the point: the
-    certifier handles data-dependent programs by exact counting and
-    labels them honestly.
-    """
+def _spmv_kernel(mapping: AddressMapping, matrix: EllMatrix):
+    """One gather step per ELL entry slot, padding as masked-out lanes."""
     w = mapping.w
-    n = w * w
     from repro.gpu.kernel import KernelStep, SharedMemoryKernel
 
-    matrix = make_ell(n, structure=structure, k=k, seed=seed)
     steps = [
         KernelStep.from_positions(
             "read", "x", matrix.cols[:, slot], w, register="xv"
@@ -183,6 +165,24 @@ def build_program(
     return SharedMemoryKernel(
         w, steps, arrays=("x",), mapping=mapping, inputs=("x",)
     )
+
+
+def build_program(
+    mapping: AddressMapping,
+    structure: str = "banded",
+    k: int = 4,
+    seed: SeedLike = None,
+):
+    """The ELL SpMV's kernel skeleton over a matrix of ``structure``.
+
+    One read step per entry slot (``k`` gathers of ``x[cols[:, s]]``),
+    the steps :func:`run_spmv` executes.  The column indices are
+    matrix data, so the steps generally enumerate — which is the
+    point: the certifier handles data-dependent programs by exact
+    counting and labels them honestly.
+    """
+    n = mapping.w * mapping.w
+    return _spmv_kernel(mapping, make_ell(n, structure=structure, k=k, seed=seed))
 
 
 def run_spmv(
@@ -220,34 +220,29 @@ def run_spmv(
         raise ValueError(f"matrix dimension {matrix.n} != w^2 = {n}")
 
     x = rng.random(n)
-    machine = DiscreteMemoryMachine(w, latency, memory_size=mapping.storage_words)
-    machine.load(0, mapping.apply_layout(x.reshape(w, w)))
+    kernel = _spmv_kernel(mapping, matrix)
+    machine = kernel.make_machine(latency)
+    kernel.load_array(machine, "x", x.reshape(w, w))
 
     y = np.zeros(n)
-    time_units = 0
-    total_stages = 0
-    worst = 0
-    for slot in range(matrix.k):
-        cols = matrix.cols[:, slot]
-        active = cols >= 0
-        addrs = np.full(n, INACTIVE, dtype=np.int64)
-        if active.any():
-            addrs[active] = strided_addresses(mapping, cols[active])
-        prog = MemoryProgram(p=n, instructions=[read(addrs, register="xv")])
-        result = machine.run(prog)
-        time_units += result.time_units
-        total_stages += sum(t.schedule.total_stages for t in result.traces)
-        worst = max(worst, result.max_congestion)
-        gathered = result.registers["xv"]
-        y[active] += matrix.values[active, slot] * gathered[active]
+
+    def accumulate(slot: int, regs: dict[str, np.ndarray]) -> None:
+        # The host runs before each step, so slot s's gather is
+        # accumulated before step s + 1 — or after the run, for the last.
+        if slot:
+            active = matrix.cols[:, slot - 1] >= 0
+            y[active] += matrix.values[active, slot - 1] * regs["xv"][active]
+
+    report = kernel.run(machine, host=accumulate)
+    accumulate(matrix.k, report.execution.registers)
 
     reference = matrix.dense() @ x
     correct = bool(np.allclose(y, reference, rtol=1e-9, atol=1e-9))
     return SpmvOutcome(
-        structure=structure if matrix is not None else "custom",
+        structure=structure,
         mapping_name=mapping.name,
         correct=correct,
-        time_units=time_units,
-        total_stages=total_stages,
-        worst_gather_congestion=worst,
+        time_units=report.time_units,
+        total_stages=report.total_stages,
+        worst_gather_congestion=report.execution.max_congestion,
     )

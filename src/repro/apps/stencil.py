@@ -26,8 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.mappings import AddressMapping
-from repro.dmm.machine import DiscreteMemoryMachine
-from repro.dmm.trace import MemoryProgram, read, write
 from repro.util.rng import SeedLike, as_generator
 
 __all__ = ["STENCIL_ASSIGNMENTS", "StencilOutcome", "build_program", "run_stencil"]
@@ -38,14 +36,14 @@ STENCIL_ASSIGNMENTS = ("row", "column")
 def build_program(
     mapping: AddressMapping, assignment: str = "row", seed: SeedLike = None
 ):
-    """The 5-point stencil's access skeleton as a certifiable kernel.
+    """The 5-point stencil as a kernel skeleton: what :func:`run_stencil` executes.
 
-    The same six steps as :func:`run_stencil` — five neighbour reads
-    from the input tile and one write to the output tile — under the
-    chosen thread ``assignment``.  All six grids are affine, so the
-    whole sweep certifies symbolically under every builtin mapping.
-    ``seed`` is accepted for registry uniformity; the skeleton is
-    deterministic.
+    Six steps under the chosen thread ``assignment``: five neighbour
+    reads from the input tile and one write to the output tile, whose
+    averaged values :func:`run_stencil` computes host-side.  All six
+    grids are affine, so the whole sweep certifies symbolically under
+    every builtin mapping.  ``seed`` is accepted for registry
+    uniformity; the skeleton is deterministic.
     """
     if assignment not in STENCIL_ASSIGNMENTS:
         raise ValueError(
@@ -119,10 +117,7 @@ def run_stencil(
     seed:
         RNG seed.
     """
-    if assignment not in STENCIL_ASSIGNMENTS:
-        raise ValueError(
-            f"unknown assignment {assignment!r}; expected one of {STENCIL_ASSIGNMENTS}"
-        )
+    kernel = build_program(mapping, assignment)
     w = mapping.w
     if tile is None:
         tile = as_generator(seed).random((w, w))
@@ -130,47 +125,17 @@ def run_stencil(
     if tile.shape != (w, w):
         raise ValueError(f"tile must be {w}x{w}")
 
-    words = mapping.storage_words
-    in_base, out_base = 0, words
-    machine = DiscreteMemoryMachine(w, latency, memory_size=2 * words)
-    machine.load(in_base, mapping.apply_layout(tile))
+    machine = kernel.make_machine(latency)
+    kernel.load_array(machine, "in", tile)
 
-    ii, jj = np.meshgrid(np.arange(w), np.arange(w), indexing="ij")
-    if assignment == "column":
-        ii, jj = jj.copy(), ii.copy()
+    def average(index: int, regs: dict[str, np.ndarray]):
+        # Steps 0-4 read the cell and its neighbours; step 5 writes.
+        if index == 5:
+            return (regs["c"] + regs["u"] + regs["d"] + regs["l"] + regs["r"]) / 5.0
+        return None
 
-    neighbours = {
-        "c": (ii, jj),
-        "u": ((ii - 1) % w, jj),
-        "d": ((ii + 1) % w, jj),
-        "l": (ii, (jj - 1) % w),
-        "r": (ii, (jj + 1) % w),
-    }
-
-    prog = MemoryProgram(p=w * w)
-    for name, (ri, rj) in neighbours.items():
-        prog.append(read(in_base + mapping.address(ri, rj).ravel(), register=name))
-    result = machine.run(prog)
-    regs = result.registers
-    time_units = result.time_units
-    total_stages = sum(t.schedule.total_stages for t in result.traces)
-    max_congestion = result.max_congestion
-
-    update = (
-        regs["c"] + regs["u"] + regs["d"] + regs["l"] + regs["r"]
-    ) / 5.0
-    store = MemoryProgram(
-        p=w * w,
-        instructions=[
-            write(out_base + mapping.address(ii, jj).ravel(), values=update)
-        ],
-    )
-    result = machine.run(store)
-    time_units += result.time_units
-    total_stages += sum(t.schedule.total_stages for t in result.traces)
-    max_congestion = max(max_congestion, result.max_congestion)
-
-    out = mapping.read_layout(machine.dump(out_base, words))
+    report = kernel.run(machine, host=average)
+    out = kernel.read_array(machine, "out")
     reference = (
         tile
         + np.roll(tile, 1, axis=0)
@@ -184,7 +149,7 @@ def run_stencil(
         assignment=assignment,
         mapping_name=mapping.name,
         correct=correct,
-        time_units=time_units,
-        total_stages=total_stages,
-        max_congestion=max_congestion,
+        time_units=report.time_units,
+        total_stages=report.total_stages,
+        max_congestion=report.execution.max_congestion,
     )

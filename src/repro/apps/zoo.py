@@ -41,10 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.access.strided import strided_addresses
 from repro.core.mappings import AddressMapping
-from repro.dmm.machine import DiscreteMemoryMachine
-from repro.dmm.trace import MemoryProgram, read, write
 from repro.routing.coloring import edge_color_euler
 from repro.util.rng import SeedLike, as_generator
 from repro.util.validation import check_positive_int
@@ -101,14 +98,14 @@ def _orientation_grids(w: int, orientation: str):
 
 
 def build_shearsort_program(mapping: AddressMapping, seed: SeedLike = None):
-    """Shearsort's access skeleton as a certifiable kernel.
+    """Shearsort as a kernel skeleton, executed by :func:`run_shearsort`.
 
-    Every odd-even-transposition round of :func:`run_shearsort`
-    becomes two steps — read the full grid into a register, write the
-    compared values back (``immediate``, the comparison itself is
-    host-side and free).  Both steps of every round are unmasked
-    affine grids, so the certifier closes the entire program
-    symbolically: contiguous rounds are congestion 1 under any
+    Every odd-even-transposition round is two steps — read the full
+    grid into a register, write the compared values back
+    (``immediate``: the comparison is host-side and free, and
+    :func:`run_shearsort` supplies the values).  Both steps of every
+    round are unmasked affine grids, so the certifier closes the entire
+    program symbolically: contiguous rounds are congestion 1 under any
     shifted-row mapping, stride rounds exactly 1 under RAP (Theorem 1)
     and ``w`` under RAW.  The schedule is fixed by ``w``; ``seed`` is
     accepted for registry uniformity and ignored.
@@ -184,6 +181,7 @@ def run_shearsort(
     seed:
         RNG seed for random keys.
     """
+    kernel = build_shearsort_program(mapping)
     w = mapping.w
     n = w * w
     if keys is None:
@@ -192,50 +190,33 @@ def run_shearsort(
     if keys.shape != (n,):
         raise ValueError(f"keys must have length {n}")
 
-    machine = DiscreteMemoryMachine(w, latency, memory_size=mapping.storage_words)
-    machine.load(0, mapping.apply_layout(keys.reshape(w, w)))
+    machine = kernel.make_machine(latency)
+    kernel.load_array(machine, "keys", keys.reshape(w, w))
 
-    lane = np.arange(n, dtype=np.int64)
-    positions = {
-        # Thread t = (i, j): row orientation touches element (i, j),
-        # column orientation element (j, i) — matching the grids the
-        # certifiable skeleton uses.
-        "row": lane,
-        "column": (lane % w) * w + lane // w,
-    }
+    # Round r is steps 2r (read) and 2r + 1 (write back).
+    rounds = [
+        (orientation, parity)
+        for orientation in shearsort_schedule(w)
+        for parity in range(w)
+    ]
     snake_ascending = np.arange(w) % 2 == 0
     all_ascending = np.ones(w, dtype=bool)
 
-    time_units = 0
-    total_stages = 0
-    max_congestion = 0
-    rounds = 0
-    for orientation in shearsort_schedule(w):
-        addr = strided_addresses(mapping, positions[orientation])
+    def compare(index: int, regs: dict[str, np.ndarray]):
+        round_, k = divmod(index, 2)
+        if k == 0:
+            return None
+        orientation, parity = rounds[round_]
         ascending = snake_ascending if orientation == "row" else all_ascending
-        for parity in range(w):
-            prog = MemoryProgram(p=n)
-            prog.append(read(addr, register="v"))
-            result = machine.run(prog)
-            time_units += result.time_units
-            total_stages += sum(t.schedule.total_stages for t in result.traces)
-            max_congestion = max(max_congestion, result.max_congestion)
+        # Warp i's lanes hold row i (row passes) or column i (column
+        # passes); compare-exchange is free host work.
+        grid = regs["v"].reshape(w, w).copy()
+        _transposition_round(grid, parity % 2, ascending)
+        return grid.ravel()
 
-            # Warp i's lanes hold row i (row passes) or column i
-            # (column passes); compare-exchange is free host work.
-            grid = result.registers["v"].reshape(w, w).copy()
-            _transposition_round(grid, parity % 2, ascending)
+    report = kernel.run(machine, host=compare)
 
-            out = MemoryProgram(p=n)
-            out.append(write(addr, values=grid.ravel()))
-            result = machine.run(out)
-            time_units += result.time_units
-            total_stages += sum(t.schedule.total_stages for t in result.traces)
-            max_congestion = max(max_congestion, result.max_congestion)
-            rounds += 1
-
-    final = mapping.read_layout(machine.dump(0, mapping.storage_words))
-    snake = final.copy()
+    snake = kernel.read_array(machine, "keys")
     snake[1::2] = snake[1::2, ::-1]
     correct = bool(np.array_equal(snake.ravel(), np.sort(keys)))
 
@@ -243,10 +224,10 @@ def run_shearsort(
         w=w,
         mapping_name=mapping.name,
         correct=correct,
-        time_units=time_units,
-        total_stages=total_stages,
-        max_congestion=max_congestion,
-        rounds=rounds,
+        time_units=report.time_units,
+        total_stages=report.total_stages,
+        max_congestion=report.execution.max_congestion,
+        rounds=len(rounds),
     )
 
 
@@ -400,16 +381,15 @@ def run_cf_permute(
     kernel = _cf_permute_kernel(mapping, perm)
     machine = kernel.make_machine(latency)
     kernel.load_array(machine, "a", values.reshape(w, w))
-    result = machine.run(kernel.program())
+    report = kernel.run(machine)
     out = kernel.read_array(machine, "b").ravel()
     correct = bool(np.array_equal(out[perm], values))
 
-    total_stages = sum(t.schedule.total_stages for t in result.traces)
     return CfPermuteOutcome(
         w=w,
         mapping_name=mapping.name,
         correct=correct,
-        time_units=result.time_units,
-        total_stages=total_stages,
-        max_congestion=result.max_congestion,
+        time_units=report.time_units,
+        total_stages=report.total_stages,
+        max_congestion=report.execution.max_congestion,
     )

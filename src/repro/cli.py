@@ -97,9 +97,10 @@ __all__ = ["main", "build_parser", "run_experiment", "ANALYSIS_COMMANDS"]
 ANALYSIS_COMMANDS = ("prove", "lint", "analyze", "certify", "plan")
 
 
-#: argparse types: ``--workers`` (0 = all cores) and ``--trials``.
+#: argparse types: ``--workers`` (0 = all cores), ``--trials`` and the widths.
 _workers_arg = int_at_least(0, " (0 = all cores)")
 _trials_arg = int_at_least(1)
+_width_arg = int_at_least(1)
 
 
 def _fabric_arg(value: str) -> "FabricSpec":
@@ -506,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--widths",
-        type=int,
+        type=_width_arg,
         nargs="+",
         default=[16, 32, 64, 128, 256],
         help="DMM widths for table2 (default: the paper's 16..256)",
@@ -519,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--w4",
-        type=int,
+        type=_width_arg,
         default=32,
         help="array side for table4 (default 32, the paper's width)",
     )
@@ -764,9 +765,9 @@ def _sweep_all_main(argv: Sequence[str]) -> int:
     parser.add_argument("--trials", type=_trials_arg, default=1000)
     parser.add_argument("--seed", type=int, default=2014)
     parser.add_argument(
-        "--widths", type=int, nargs="+", default=[16, 32, 64, 128, 256]
+        "--widths", type=_width_arg, nargs="+", default=[16, 32, 64, 128, 256]
     )
-    parser.add_argument("--w4", type=int, default=32)
+    parser.add_argument("--w4", type=_width_arg, default=32)
     parser.add_argument("--format", choices=("ascii", "md"), default="ascii")
     parser.add_argument("--workers", type=_workers_arg, default=1)
     parser.add_argument(

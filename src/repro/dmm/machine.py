@@ -103,6 +103,11 @@ class ExecutionResult:
         """Worst warp congestion over the whole program."""
         return max((t.max_congestion for t in self.traces), default=0)
 
+    def append(self, trace: InstructionTrace) -> None:
+        """Record one more executed instruction."""
+        self.traces.append(trace)
+        self.time_units += trace.time_units
+
     def congestion_by_op(self, op: str) -> int:
         """Worst warp congestion over instructions of kind ``op``."""
         return max(
@@ -169,18 +174,20 @@ class DiscreteMemoryMachine:
         instructions (they model per-thread local variables).
         """
         warp_count(program.p, self.w)  # validates divisibility
-        registers: dict[str, np.ndarray] = {}
-        result = ExecutionResult(time_units=0, registers=registers)
-
+        result = ExecutionResult(time_units=0)
         for instr in program:
-            trace = self._execute(instr, registers)
-            result.traces.append(trace)
-            result.time_units += trace.time_units
+            result.append(self.execute(instr, result.registers))
         return result
 
-    def _execute(
+    def execute(
         self, instr: Instruction, registers: dict[str, np.ndarray]
     ) -> InstructionTrace:
+        """Execute one instruction against a caller-held register file.
+
+        ``registers`` is updated in place (a read creates its register
+        on first use), so a caller that interleaves host work between
+        instructions sees the same register semantics as :meth:`run`.
+        """
         addresses = instr.addresses
         grouped = addresses.reshape(-1, self.w)
 

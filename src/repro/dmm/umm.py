@@ -86,12 +86,9 @@ class UnifiedMemoryMachine:
     def run(self, program: MemoryProgram) -> ExecutionResult:
         """Execute ``program`` under UMM (coalescing) timing rules."""
         warp_count(program.p, self.w)
-        registers: dict[str, np.ndarray] = {}
-        result = ExecutionResult(time_units=0, registers=registers)
+        result = ExecutionResult(time_units=0)
         for instr in program:
-            trace = self._execute(instr, registers)
-            result.traces.append(trace)
-            result.time_units += trace.time_units
+            result.append(self._execute(instr, result.registers))
         return result
 
     def _execute(

@@ -18,7 +18,7 @@ write your kernel against logical indices, pick
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from repro.dmm.batched import (
 )
 from repro.dmm.machine import DiscreteMemoryMachine, ExecutionResult
 from repro.dmm.trace import INACTIVE, MemoryProgram, read, write
+from repro.dmm.warp import warp_count
 from repro.gpu.timing import GPUTimingModel
 from repro.util.rng import SeedLike
 
@@ -651,11 +652,34 @@ class SharedMemoryKernel:
         machine: Optional[DiscreteMemoryMachine] = None,
         latency: int = 1,
         timing_model: Optional[GPUTimingModel] = None,
+        host: Optional[Callable[[int, dict], Optional[np.ndarray]]] = None,
     ) -> KernelReport:
-        """Execute on the DMM and report stages / time / predicted ns."""
+        """Execute on the DMM and report stages / time / predicted ns.
+
+        ``host`` interleaves host-side work with the steps:
+        ``host(index, registers)`` is called before step ``index`` with
+        the register file so far, which persists across steps as inside
+        one program.  Before an ``immediate`` write it returns the
+        values of the step's active lanes, in lane order; before any
+        other step its result is ignored.  Without ``host``, immediate
+        writes store the per-lane sentinels of :meth:`program`.  The
+        report's ``execution.traces`` hold one trace per step, for
+        callers that group congestion by their own phases.
+        """
         if machine is None:
             machine = self.make_machine(latency)
-        execution = machine.run(self.program())
+        warp_count(self.w * self.w, machine.w)
+        execution = ExecutionResult(time_units=0)
+        registers = execution.registers
+        for index, (step, instr) in enumerate(zip(self.steps, self.program())):
+            values = None if host is None else host(index, registers)
+            if host is not None and step.immediate:
+                if values is None:
+                    raise ValueError(f"host gave no values for immediate step {index}")
+                lanes = np.zeros(self.w * self.w)
+                lanes[slice(None) if step.mask is None else step.mask.ravel()] = values
+                instr = write(instr.addresses, values=lanes)
+            execution.append(machine.execute(instr, registers))
         total_stages = sum(t.schedule.total_stages for t in execution.traces)
         ops = self.overhead_ops()
         predicted = (

@@ -55,7 +55,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.apps import BUILTIN_PROGRAMS, build_app_program
+from repro.apps import BUILTIN_PROGRAMS, app_width_error, build_app_program
 from repro.core.mappings import (
     MAPPING_NAMES,
     RAWMapping,
@@ -660,7 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--w",
-        type=int,
+        type=int_at_least(1),
         nargs="+",
         default=[32],
         help="warp width(s) / banks; several run back to back (default 32)",
@@ -750,8 +750,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.backend is not None and args.compare_backends:
         parser.error("--backend and --compare-backends are mutually exclusive")
     widths = list(args.w)
-    for w in widths:
-        check_positive_int(w, "w")
     backend_mode = args.backend is not None and args.backend != "numpy"
     apps = args.apps
     if apps is None:
@@ -761,6 +759,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             apps = list(DEFAULT_PLAN_APPS)
         else:
             apps = list(DEFAULT_BENCH_APPS)
+    for w in widths:
+        problem = app_width_error(apps, w)
+        if problem:
+            parser.error(problem)
 
     if args.compare_backends:
         rows = bench_backend_compare(

@@ -125,3 +125,29 @@ class TestAnalyzeCommand:
     def test_other_kernels(self):
         for kind in ("srcw", "drdw"):
             assert main(["analyze", "--kernel", kind, "--w", "8"]) == 0
+
+
+class TestWidthArgument:
+    @pytest.mark.parametrize("command", ["certify", "plan", "prove", "analyze"])
+    @pytest.mark.parametrize("w", ["0", "-2"])
+    def test_width_below_one_is_a_usage_error(self, command, w, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--w", w])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (line,) = [ln for ln in err.splitlines() if "error:" in ln]
+        assert "argument --w:" in line
+
+    @pytest.mark.parametrize("command", ["certify", "plan"])
+    def test_width_an_app_cannot_take_names_the_app(self, command, capsys):
+        """fft needs a power-of-two width: one stderr line, exit 2."""
+        assert main([command, "--app", "fft", "--w", "12"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert "'fft'" in line and "--w 12" in line
+
+    def test_apps_that_take_the_width_still_run(self, capsys):
+        assert main(["certify", "--app", "stencil_row", "--w", "12"]) == 0
+        assert "1/1 program certificates clean" in capsys.readouterr().out

@@ -411,6 +411,28 @@ class TestBenchDmmCLI:
         assert code == 1
         assert "FAIL" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["--w", "0"], "argument --w:"),
+            (["--w", "16", "-1"], "argument --w:"),
+            (["--w", "12", "--apps", "fft"], "'fft'"),
+            (["--w", "16", "12", "--apps", "stencil_row", "sort"], "'sort'"),
+        ],
+    )
+    def test_bad_width_is_a_usage_error(self, argv, needle, capsys):
+        """Checked before any benchmark runs: exit 2, one error line
+        naming the flag or the app, no traceback."""
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["bench-dmm", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (line,) = [ln for ln in err.splitlines() if "error:" in ln]
+        assert needle in line
+
 
 class TestBenchResultEdges:
     """Zero-duration and invalid-input behavior of BenchResult rates."""

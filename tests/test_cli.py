@@ -111,13 +111,34 @@ class TestMain:
     def test_bad_trials_is_a_usage_error(self, command, trials, capsys):
         """``--trials`` below 1 exits 2 with one argparse error line
         before any work runs, not a traceback (or a silent clamp)."""
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--trials", trials])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        (line,) = [ln for ln in err.splitlines() if "error:" in ln]
-        assert "argument --trials:" in line
+        _assert_usage_error([command, "--trials", trials], "--trials", capsys)
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["table2", "--widths", "0"], "--widths"),
+            (["table2", "--widths", "16", "-4"], "--widths"),
+            (["table4", "--w4", "0"], "--w4"),
+            (["table4", "--w4", "-3"], "--w4"),
+            (["sweep-all", "--widths", "0"], "--widths"),
+            (["sweep-all", "--w4", "0"], "--w4"),
+        ],
+    )
+    def test_bad_width_is_a_usage_error(self, argv, flag, capsys):
+        """A width below 1 exits 2 the same way, not with a
+        ``ValueError`` traceback from inside the sweep."""
+        _assert_usage_error(argv, flag, capsys)
+
+
+def _assert_usage_error(argv, flag, capsys):
+    """``argv`` exits 2 with one argparse error line naming ``flag``."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = [ln for ln in err.splitlines() if "error:" in ln]
+    assert f"argument {flag}:" in line
 
 
 class TestMarkdownFormat:

@@ -161,6 +161,52 @@ class TestSharedMemoryKernel:
         assert k.run().predicted_ns is None
 
 
+class TestRunWithHost:
+    def _kernel(self, mapping):
+        """Read ``a`` into ``c``; write ``2c`` to the first 3 rows of ``b``."""
+        ii, jj = grids(4)
+        mask = np.ones((4, 4), dtype=bool)
+        mask[3, :] = False
+        steps = [
+            KernelStep("read", "a", ii, jj, register="c"),
+            KernelStep("write", "b", ii, jj, mask=mask, immediate=True),
+        ]
+        return SharedMemoryKernel(4, steps, mapping=mapping, inputs=("a",))
+
+    def test_values_land_on_active_lanes_only(self, rng):
+        k = self._kernel(RAPMapping.random(4, 3))
+        machine = k.make_machine()
+        matrix = rng.random((4, 4))
+        k.load_array(machine, "a", matrix)
+        calls = []
+
+        def host(index, regs):
+            calls.append((index, sorted(regs)))
+            if index == 1:
+                return 2.0 * regs["c"][:12]
+            return None
+
+        report = k.run(machine, host=host)
+        # Called before every step; registers persist from step 0.
+        assert calls == [(0, []), (1, ["c"])]
+        out = k.read_array(machine, "b")
+        assert np.array_equal(out[:3], 2.0 * matrix[:3])
+        assert not out[3].any()
+        assert len(report.execution.traces) == 2
+
+    def test_timing_matches_the_host_free_run(self):
+        k = self._kernel(RAWMapping(4))
+        plain = k.run()
+        hosted = k.run(host=lambda index, regs: np.ones(12))
+        assert hosted.time_units == plain.time_units
+        assert hosted.total_stages == plain.total_stages
+
+    def test_immediate_write_needs_values(self):
+        k = self._kernel(RAWMapping(4))
+        with pytest.raises(ValueError, match="immediate step 1"):
+            k.run(host=lambda index, regs: None)
+
+
 class TestInputsAndCompile:
     def test_inputs_inferred_from_first_access(self):
         ii, jj = grids(4)
