@@ -8,7 +8,7 @@ or, to verify without writing (CI / pre-commit; exits 1 on drift):
 
     PYTHONPATH=src python tests/data/regen_baselines.py --check
 
-Three artifacts live next to this script:
+Four artifacts live next to this script:
 
 ``certify_baseline.json``
     The exact stdout of ``python -m repro certify --mapping ALL
@@ -26,6 +26,15 @@ Three artifacts live next to this script:
     distribution and SpMV structure, the three transposes) under
     RAW/RAS/RAP at w=8 and 16, seed=2014: correctness, time units,
     pipeline stages and congestion.
+
+``tables_baseline.json``
+    Golden Monte-Carlo output: ``repro table2`` at w=16, 24, 32, 256
+    and ``repro table4`` at w=8 (20 trials, seed=2014), the
+    :func:`~repro.sim.distributions.congestion_distribution` pmfs of
+    every Table II pattern and mapping at w=32, and SHA-256 digests of
+    ``congestion_batch`` and ``bank_loads_batch`` on a fixed corpus
+    (inactive lanes and rows, k != w, several blocks, addresses beyond
+    int32, negative addresses, non-power-of-two w).
 
 ``tests/test_baselines.py`` asserts the checked-in files are
 byte-identical to what this script writes, so the baselines can never
@@ -150,10 +159,118 @@ def apps_baseline_text() -> str:
     return f'{{\n "seed": {seed},\n "outcomes": {{\n{lines}\n }}\n}}\n'
 
 
+#: seed, trial count and widths of the golden Monte-Carlo tables.
+TABLES_SEED = 2014
+TABLES_TRIALS = 20
+TABLE2_WIDTHS = (16, 24, 32, 256)
+TABLE4_W = 8
+DISTRIBUTION_W = 32
+
+
+def _cli_stdout(argv: list[str]) -> list[str]:
+    """Lines ``python -m repro <argv>`` prints, run in process."""
+    from repro.cli import main
+
+    buffer = io.StringIO()
+    with redirect_stdout(buffer):
+        code = main(argv)
+    if code != 0:
+        raise RuntimeError(f"repro {' '.join(argv)} exited {code}")
+    return buffer.getvalue().splitlines()
+
+
+def kernel_corpus() -> dict:
+    """``name -> (addresses, w, inactive)`` inputs of the kernel digests.
+
+    Row counts are chosen so no case fills a whole number of 32K-address
+    blocks; the ``wide`` cases exceed int32 and the ``negative`` ones
+    hold negative addresses that are not the sentinel.
+    """
+    import numpy as np
+
+    from repro.dmm.trace import INACTIVE
+    from repro.util.rng import as_generator
+
+    rng = as_generator(TABLES_SEED)
+
+    def with_inactive(addresses, lane_p=0.2, row_p=0.05):
+        addresses = addresses.copy()
+        addresses[rng.random(addresses.shape) < lane_p] = INACTIVE
+        addresses[rng.random(addresses.shape[0]) < row_p] = INACTIVE
+        return addresses
+
+    dense = rng.integers(0, 4096, size=(2500, 32))
+    merging = rng.integers(0, 64, size=(300, 256))
+    wide = rng.integers(2**31 - 2000, 2**40, size=(1500, 32))
+    negative = rng.integers(-5000, 5000, size=(1500, 24))
+    return {
+        "dense/w32": (dense, 32, None),
+        "dense/w32/inactive": (with_inactive(dense), 32, INACTIVE),
+        "merging/w256": (merging, 256, None),
+        "merging/w256/inactive": (with_inactive(merging), 256, INACTIVE),
+        "narrow/k12/w32": (rng.integers(0, 999, size=(777, 12)), 32, None),
+        "broad/k48/w16": (rng.integers(0, 999, size=(777, 48)), 16, INACTIVE),
+        "dense/w24/inactive": (
+            with_inactive(rng.integers(0, 5000, size=(1500, 24))), 24, INACTIVE
+        ),
+        "wide/w32": (wide, 32, None),
+        "wide/w24/inactive": (with_inactive(wide[:, :24]), 24, INACTIVE),
+        "negative/w24/inactive": (with_inactive(negative), 24, INACTIVE),
+        "negative/w16": (negative[:, :16], 16, None),
+        "all_inactive/w8": (np.full((5, 8), INACTIVE), 8, INACTIVE),
+        "empty/w4": (np.zeros((3, 0), dtype=np.int64), 4, None),
+    }
+
+
+def tables_baseline_text() -> str:
+    """Golden Table II/IV output, pmfs and kernel digests, as one JSON document."""
+    import hashlib
+
+    import numpy as np
+
+    from repro.core.congestion import bank_loads_batch, congestion_batch
+    from repro.sim.distributions import congestion_distribution
+
+    common = ["--trials", str(TABLES_TRIALS), "--seed", str(TABLES_SEED), "--no-cache"]
+    table2 = _cli_stdout(
+        ["table2", "--widths", *map(str, TABLE2_WIDTHS), *common]
+    )
+    table4 = _cli_stdout(["table4", "--w4", str(TABLE4_W), *common])
+    pmfs = {
+        f"{pattern}/{mapping}": congestion_distribution(
+            mapping, pattern, DISTRIBUTION_W, trials=TABLES_TRIALS, seed=TABLES_SEED
+        ).pmf.tolist()
+        for pattern in ("contiguous", "stride", "diagonal", "random")
+        for mapping in ("RAW", "RAS", "RAP")
+    }
+
+    def digest(out) -> str:
+        return f"{out.dtype}{list(out.shape)} " + hashlib.sha256(
+            np.ascontiguousarray(out).tobytes()
+        ).hexdigest()
+
+    kernels = {
+        name: {
+            "congestion_batch": digest(congestion_batch(a, w, inactive=inactive)),
+            "bank_loads_batch": digest(bank_loads_batch(a, w, inactive=inactive)),
+        }
+        for name, (a, w, inactive) in kernel_corpus().items()
+    }
+    payload = {
+        "seed": TABLES_SEED,
+        "table2": table2,
+        "table4": table4,
+        "distributions": pmfs,
+        "kernels": kernels,
+    }
+    return json.dumps(payload, indent=1) + "\n"
+
+
 BASELINES = {
     "apps_baseline.json": apps_baseline_text,
     "certify_baseline.json": certify_baseline_text,
     "ir_baseline.json": ir_baseline_text,
+    "tables_baseline.json": tables_baseline_text,
 }
 
 

@@ -2,8 +2,9 @@
 
 ``tests/data/regen_baselines.py`` is the single source of truth for
 ``certify_baseline.json`` (the CI certify diff artifact),
-``ir_baseline.json`` (golden IR dumps) and ``apps_baseline.json``
-(golden ``run_*`` app outcomes): these tests assert the
+``ir_baseline.json`` (golden IR dumps), ``apps_baseline.json``
+(golden ``run_*`` app outcomes) and ``tables_baseline.json`` (golden
+Table II/IV output, congestion pmfs and kernel digests): these tests assert the
 committed files are byte-identical to a fresh regeneration, so a
 baseline can never be hand-edited out of sync with the analysis code.
 """
@@ -37,7 +38,13 @@ def test_every_baseline_has_a_regenerator(regen):
 
 
 @pytest.mark.parametrize(
-    "name", ["apps_baseline.json", "certify_baseline.json", "ir_baseline.json"]
+    "name",
+    [
+        "apps_baseline.json",
+        "certify_baseline.json",
+        "ir_baseline.json",
+        "tables_baseline.json",
+    ],
 )
 def test_checked_in_baseline_is_byte_identical_to_regen(regen, name):
     fresh = regen.BASELINES[name]()
