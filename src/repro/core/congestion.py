@@ -21,10 +21,11 @@ Monte-Carlo simulation in :mod:`repro.sim.congestion_sim` and the
 batched DMM executor in :mod:`repro.dmm.batched` can run millions of
 warp accesses without a Python-level loop, following the
 vectorize-don't-iterate idiom of scientific-Python optimization.
-:func:`congestion_batch` counts run lengths of sorted bank values
-(two cheap row sorts) instead of a flat bincount: the bincount needs
-``n * w`` scatter targets, which dominates on the executor's hot path
-where ``n`` is ``trials x warps`` per instruction.
+Both batch functions sort each row once to merge duplicates, then
+histogram the banks of the merged requests with one bincount over
+``row * w + bank`` — the bank-load view of a warp access.  Rows are
+processed in blocks of about 32K addresses so every temporary stays
+in cache, sorted as int32 when the block's addresses fit.
 
 Both batch functions accept ``inactive=<sentinel>`` so the executors
 can feed whole instructions through one call: lanes holding the
@@ -37,6 +38,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.util.validation import check_positive_int
+
+_I32 = np.iinfo(np.int32)
+#: Addresses (and histogram bins) per block of the batch kernels.
+_BLOCK_ADDRESSES = 1 << 15
 
 __all__ = [
     "merge_requests",
@@ -94,27 +99,53 @@ def warp_congestion(addresses: np.ndarray, w: int) -> int:
     """Congestion of a single warp access (max over banks).
 
     Returns 0 for an empty request vector (a warp in which no thread
-    accesses memory is simply not dispatched).
+    accesses memory is simply not dispatched): with no merged request,
+    every bank load is 0.
     """
-    loads = bank_loads(addresses, w)
-    return int(loads.max()) if addresses is not None and np.size(addresses) else 0
+    return int(bank_loads(addresses, w).max())
 
 
-def _first_occurrence_mask(sorted_rows: np.ndarray) -> np.ndarray:
-    """Boolean mask of first occurrences within each pre-sorted row."""
-    mask = np.ones_like(sorted_rows, dtype=bool)
-    mask[:, 1:] = sorted_rows[:, 1:] != sorted_rows[:, :-1]
-    return mask
+def _check_batch(addresses: np.ndarray, w: int) -> np.ndarray:
+    check_positive_int(w, "w")
+    addresses = np.asarray(addresses)
+    if addresses.ndim != 2:
+        raise ValueError(f"expected shape (n, k), got {addresses.shape}")
+    if addresses.size and not np.issubdtype(addresses.dtype, np.integer):
+        raise TypeError(f"expected integer addresses, got {addresses.dtype}")
+    return addresses
 
 
-def _merged_request_mask(
-    sorted_rows: np.ndarray, inactive: int | None
-) -> np.ndarray:
-    """First occurrences per pre-sorted row, with sentinel lanes dropped."""
-    fresh = _first_occurrence_mask(sorted_rows)
-    if inactive is not None:
-        fresh &= sorted_rows != inactive
-    return fresh
+def _bank_load_blocks(addresses: np.ndarray, w: int, inactive: int | None):
+    """Yield ``(start, loads)`` per block of rows of a non-empty batch.
+
+    ``loads`` is the ``(b, w)`` int64 bank histogram of rows
+    ``start:start + b``.  A block holds about :data:`_BLOCK_ADDRESSES`
+    addresses and histogram bins, so its temporaries stay in cache.
+    Each row is sorted once to find its first occurrences (the merged
+    requests); their banks, offset by ``row * w``, feed one bincount.
+    """
+    n, k = addresses.shape
+    block = max(1, _BLOCK_ADDRESSES // max(k, w))
+    fits = np.can_cast(addresses.dtype, np.int32)
+    for start in range(0, n, block):
+        rows = addresses[start:start + block]
+        b = rows.shape[0]
+        narrow = b * w <= _I32.max and (
+            fits or (rows.min() >= _I32.min and rows.max() <= _I32.max)
+        )
+        srt = rows.astype(np.int32 if narrow else np.int64)
+        srt.sort(axis=1)
+        fresh = np.empty(srt.shape, dtype=bool)
+        fresh[:, 0] = True
+        np.not_equal(srt[:, 1:], srt[:, :-1], out=fresh[:, 1:])
+        if inactive is not None:
+            fresh &= srt != inactive
+        if w & (w - 1):
+            srt %= w
+        else:
+            srt &= w - 1
+        srt += np.arange(0, b * w, w, dtype=srt.dtype)[:, None]
+        yield start, np.bincount(srt[fresh], minlength=b * w).reshape(b, w)
 
 
 def bank_loads_batch(
@@ -140,31 +171,22 @@ def bank_loads_batch(
     numpy.ndarray
         Shape ``(n, w)`` int64 array of bank loads per warp access.
     """
-    check_positive_int(w, "w")
-    addresses = np.asarray(addresses)
-    if addresses.ndim != 2:
-        raise ValueError(f"expected shape (n, k), got {addresses.shape}")
-    n, _ = addresses.shape
-    if addresses.size == 0:
-        return np.zeros((n, w), dtype=np.int64)
-    srt = np.sort(addresses, axis=1)
-    fresh = _merged_request_mask(srt, inactive)
-    banks = srt % w
-    # Flatten (row, bank) pairs of first occurrences into one bincount.
-    rows = np.broadcast_to(np.arange(n)[:, None], banks.shape)
-    keys = rows[fresh] * w + banks[fresh]
-    counts = np.bincount(keys, minlength=n * w)
-    return counts.reshape(n, w).astype(np.int64)
+    addresses = _check_batch(addresses, w)
+    loads = np.zeros((addresses.shape[0], w), dtype=np.int64)
+    if addresses.size:
+        for start, block in _bank_load_blocks(addresses, w, inactive):
+            loads[start:start + len(block)] = block
+    return loads
 
 
 def max_run_lengths(keys: np.ndarray) -> np.ndarray:
     """Longest run of equal adjacent values in each row, vectorized.
 
     ``keys`` must be row-sorted (or at least have equal values
-    adjacent).  Used by :func:`congestion_batch` — after sorting a
-    warp's bank values, the congestion is exactly the longest run of
-    one bank — and by the batched DMM executor, which pre-stages bank
-    keys and skips the address sort entirely.
+    adjacent).  After sorting a warp's bank values, the congestion is
+    exactly the longest run of one bank; the batched DMM executor and
+    the abstract interpreter pre-stage such bank keys and skip the
+    address sort entirely.
     """
     n, k = keys.shape
     boundary = np.empty(keys.shape, dtype=bool)
@@ -193,10 +215,8 @@ def congestion_batch(
     """Congestion of each warp access in a batch.
 
     Equivalent to ``[warp_congestion(row[row != inactive], w) for row
-    in addresses]`` but fully vectorized: sort each row to merge
-    duplicate addresses, replace merged/inactive lanes with per-lane
-    sentinels that can never form a run, sort the bank values, and
-    take the longest run of one bank per row.
+    in addresses]`` but vectorized: the row maximum of
+    :func:`bank_loads_batch`, computed block by block.
 
     Parameters
     ----------
@@ -216,22 +236,9 @@ def congestion_batch(
         each in ``[1, min(k, w)]`` (or 0 for an empty/all-inactive
         row).
     """
-    check_positive_int(w, "w")
-    addresses = np.asarray(addresses)
-    if addresses.ndim != 2:
-        raise ValueError(f"expected shape (n, k), got {addresses.shape}")
-    n, k = addresses.shape
-    if addresses.size == 0:
-        return np.zeros(n, dtype=np.int64)
-    srt = np.sort(addresses, axis=1)
-    fresh = _merged_request_mask(srt, inactive)
-    banks = srt % w
-    # Merged duplicates and inactive lanes get one unique sentinel per
-    # lane slot (>= w, so never a real bank): they survive the second
-    # sort as runs of length 1 and cannot affect the row maximum —
-    # unless the whole row is sentinels, fixed up below.
-    banks = np.where(fresh, banks, w + np.arange(k))
-    cong = max_run_lengths(np.sort(banks, axis=1)).astype(np.int64)
-    if inactive is not None:
-        cong *= fresh.any(axis=1)
+    addresses = _check_batch(addresses, w)
+    cong = np.zeros(addresses.shape[0], dtype=np.int64)
+    if addresses.size:
+        for start, block in _bank_load_blocks(addresses, w, inactive):
+            block.max(axis=1, out=cong[start:start + len(block)])
     return cong

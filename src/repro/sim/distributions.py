@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.access.patterns import pattern_logical
 from repro.core.congestion import congestion_batch
-from repro.sim.congestion_sim import _sample_shift_matrix
+from repro.sim.congestion_sim import _matrix_address_chunks
 from repro.util.rng import SeedLike, as_generator
 from repro.util.validation import check_positive_int
 
@@ -84,28 +83,10 @@ def congestion_distribution(
     """
     check_positive_int(w, "w")
     check_positive_int(trials, "trials")
-    rng = as_generator(seed)
     counts = np.zeros(w + 1, dtype=np.int64)
-
-    is_random = pattern.lower() == "random"
-    if not is_random:
-        ii, jj = pattern_logical(pattern, w)
-
-    chunk = max(1, min(trials, (1 << 26) // (w * w * 8)))
-    done = 0
-    while done < trials:
-        t = min(chunk, trials - done)
-        shifts = _sample_shift_matrix(mapping_name, w, t, rng)
-        if is_random:
-            ii_t = rng.integers(0, w, size=(t, w, w), dtype=np.int64)
-            jj_t = rng.integers(0, w, size=(t, w, w), dtype=np.int64)
-            row_shift = shifts[np.arange(t)[:, None, None], ii_t]
-            addresses = ii_t * w + (jj_t + row_shift) % w
-        else:
-            addresses = ii * w + (jj + shifts[:, ii]) % w
-        cong = congestion_batch(addresses.reshape(-1, w), w)
-        counts += np.bincount(cong, minlength=w + 1)
-        done += t
+    rng = as_generator(seed)
+    for _, addresses in _matrix_address_chunks(mapping_name, pattern, w, trials, rng):
+        counts += np.bincount(congestion_batch(addresses, w), minlength=w + 1)
 
     total = counts.sum()
     return CongestionDistribution(pmf=counts / total, n_samples=int(total))
