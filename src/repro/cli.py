@@ -61,10 +61,10 @@ Options let the user trade runtime for precision (``--trials``), pin
 reproducibility (``--seed``), distribute Monte-Carlo trials over
 worker processes (``--workers``) or the lease-based sweep fabric
 (``--fabric workers=N``), and control the on-disk result cache
-(``--no-cache``; ``--stats`` prints the engine's throughput and
-cache counters, plus per-worker fabric accounting when --fabric is
-on).  For a fixed seed the printed numbers are bit-identical for
-every worker count, fabric spec, and cache state.
+(``--no-cache``; ``--stats`` prints the engine's throughput, cache
+counters, and per-worker accounting).  For a fixed seed the printed
+numbers are bit-identical for every worker count, fabric spec, and
+cache state.
 
 Checkpoint/resume: ``--journal [PATH]`` makes the journal-aware
 experiments (``table2``, ``table4``, ``growth``, ``lemma1``) record
@@ -120,8 +120,8 @@ def _engine_from_args(args) -> "MonteCarloEngine":
     """The run's shared engine, built once from the CLI flags.
 
     Cached on the namespace so every experiment of an ``all`` run (and
-    the final ``--stats`` summary) shares one pool, one cache handle,
-    and one collector.
+    the final ``--stats`` summary) shares one set of workers, one cache
+    handle, and one collector.
     """
     engine = getattr(args, "_engine", None)
     if engine is None:
@@ -567,8 +567,10 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "inject a builtin worker-fault schedule (kill-worker, "
             "kill-two-workers, worker-blackout, slow-worker, "
-            "corrupt-result, kill-coordinator) — the CI chaos gate: "
-            "output must stay byte-identical to a fault-free run"
+            "corrupt-result, kill-coordinator) into the shard "
+            "supervisor, under --workers or --fabric (a fault aimed at "
+            "worker k fires only with more than k workers) — the CI chaos "
+            "gate: output must stay byte-identical to a fault-free run"
         ),
     )
     parser.add_argument(

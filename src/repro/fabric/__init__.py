@@ -1,20 +1,23 @@
-"""Distributed sweep fabric: N pluggable workers, lease-based stealing.
+"""The shard supervisor: N pluggable workers, lease-based stealing.
 
-PR 5 made a *single* process pool fault-tolerant; this package
-generalizes that to a fabric of N independent workers behind the
-:class:`~repro.fabric.workers.Worker` protocol — in-process and
-one-subprocess-pool-per-worker — coordinated by :class:`~repro.fabric.supervisor.FabricSupervisor`
-through a lease-based shard queue with heartbeat failure detection,
-work stealing, epoch fencing, poisoned-shard quarantine, and
-journal checkpointing.  The load-bearing contract is unchanged:
+Every shard the engine runs goes through
+:class:`~repro.fabric.supervisor.FabricSupervisor`: N independent
+workers behind the :class:`~repro.fabric.workers.Worker` protocol —
+in-process and one-subprocess-pool-per-worker — coordinated through a
+lease-based shard queue with heartbeat failure detection, work
+stealing, epoch fencing, poisoned-shard quarantine, an in-process
+fallback, and journal checkpointing.  The load-bearing contract:
 
 > any schedule of worker crashes, stalls, blackouts, and corrupt
 > results yields results **bit-identical** to a fault-free run, at
 > every worker count — and a killed coordinator resumes from its
 > journal byte-for-byte.
 
-Select it via ``MonteCarloEngine(fabric="workers=4,backend=pool")`` or
-``--fabric`` on the CLI; see ``docs/ENGINE.md`` ("The sweep fabric").
+``MonteCarloEngine(workers=N)`` runs it as
+:class:`repro.resilience.ShardSupervisor`; an explicit spec comes from
+``MonteCarloEngine(fabric="workers=4,backend=pool")`` or ``--fabric``
+on the CLI.  See ``docs/ENGINE.md`` ("Fault tolerance: one shard
+supervisor").
 """
 
 from repro.fabric.supervisor import (

@@ -1,13 +1,14 @@
-"""Lease-based shard coordination over N pluggable workers.
+"""The shard supervisor: lease-based coordination over N pluggable workers.
 
-:class:`FabricSupervisor` is the fabric's coordinator: it exposes the
-same ``run(body, payloads, label)`` interface as
-:class:`repro.resilience.supervisor.ShardSupervisor`, but instead of
-one shared process pool it drives N independent :class:`Worker`
-backends through a lease-based shard queue:
+:class:`FabricSupervisor` holds the only shard-execution loop in the
+package.  ``run(body, payloads, label)`` drives N independent
+:class:`Worker` backends through a lease-based shard queue; the
+engine's default :class:`repro.resilience.supervisor.ShardSupervisor`
+is this loop on ``--workers N`` local workers (one in-process worker
+for ``N == 1``, one single-process pool per worker otherwise).
 
 * **Leases.** A worker claims the lowest pending shard in its own
-  partition (``shard % workers == worker_id``) first, then *steals*
+  partition (``shard % len(slots) == position``) first, then *steals*
   the lowest pending shard overall.  Every claim bumps the shard's
   **epoch** and grants a lease that expires ``lease_ticks`` later.
 * **Heartbeats and failure detection.**  Each virtual tick, live
@@ -15,7 +16,11 @@ backends through a lease-based shard queue:
   declared dead and its leases expire immediately.  Workers whose
   backend raises (``BrokenProcessPool``, an injected
   :class:`~repro.resilience.faults.WorkerKilled`) are declared dead on
-  the spot.
+  the spot and stay out for the rest of the task.
+* **Timeouts.**  ``policy.timeout`` is measured from each attempt's
+  submission.  An attempt that overruns it is retried as a
+  ``"timeout"``, its hung backend is dropped (and replaced), so the
+  late result is never merged.
 * **Fencing.**  A delivery is accepted only if the shard is still
   leased to that worker *at the same epoch* and the attempt was never
   orphaned.  A zombie — a stale worker finishing after its lease was
@@ -23,12 +28,13 @@ backends through a lease-based shard queue:
 * **Retry budgets and quarantine.**  Every failed attempt consumes
   the shard's :class:`~repro.resilience.policy.RetryPolicy` budget
   (with the policy's deterministic backoff).  Failures *caused by the
-  shard itself* (crashes, corrupt results — not worker deaths) are
-  attributed to the worker they ran on; a shard that fails on
-  ``quarantine_after`` distinct workers is poisoned and raises
+  shard itself* (crashes, timeouts, corrupt results — not worker
+  deaths) are attributed to the worker they ran on; a shard that fails
+  on ``quarantine_after`` distinct workers is poisoned and raises
   :class:`ShardQuarantined` instead of being retried forever.
-* **Degradation.**  If every worker has died, the remaining shards run
-  serially on an in-process fallback worker — the run still completes.
+* **Fallback.**  If every worker has died, one in-process fallback
+  slot (id ``spec.workers``) joins the same tick loop and finishes the
+  task — the run still completes.
 
 Determinism
 -----------
@@ -45,7 +51,7 @@ run in parallel.  Results themselves never depend on any of this —
 each shard re-derives its stream from its own ``SeedSequence``, so any
 schedule of crashes, stalls, steals, and fenced zombies yields results
 bit-identical to a fault-free run at any worker count (enforced by
-``tests/test_fabric.py``).
+``tests/test_fabric.py`` and ``tests/test_chaos.py``).
 
 Checkpointing
 -------------
@@ -60,6 +66,7 @@ replayed and recomputed shards carry the same bits.
 from __future__ import annotations
 
 import re
+import time
 from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
@@ -75,8 +82,7 @@ from repro.fabric.workers import (
     open_envelope,
 )
 from repro.resilience.faults import FaultPlan, SimulatedTimeout, WorkerKilled
-from repro.resilience.policy import RetryPolicy
-from repro.resilience.supervisor import ShardFailure
+from repro.resilience.policy import RetryPolicy, ShardFailure
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.report.run_stats import RunStatsCollector
@@ -255,6 +261,7 @@ class _Inflight:
     epoch: int
     remaining: int
     live: bool = True
+    due: float | None = None  # time.monotonic() deadline, set on submit
 
 
 @dataclass
@@ -267,14 +274,25 @@ class _Slot:
     inflight: _Inflight | None = None
 
 
+def _without_kills(plan: FaultPlan | None) -> FaultPlan | None:
+    """``plan`` minus its ``kill_worker`` faults (the fallback's plan:
+    there is no fabric left to kill)."""
+    if plan is None or not plan.worker_faults:
+        return plan
+    return replace(
+        plan,
+        worker_faults=tuple(f for f in plan.worker_faults if f.kind != "kill_worker"),
+    )
+
+
 class FabricSupervisor:
     """The lease/steal coordinator (see the module docstring).
 
-    Drop-in for :class:`~repro.resilience.supervisor.ShardSupervisor`:
-    :class:`repro.sim.engine.MonteCarloEngine` selects it when built
-    with a ``fabric`` spec, and every engine task (congestion cells,
-    ``map_seeded``, ``map_trial_batches``) routes through
-    :meth:`run` unchanged.
+    :class:`repro.sim.engine.MonteCarloEngine` runs every task
+    (congestion cells, ``map_seeded``, ``map_trial_batches``) through
+    :meth:`run`: on this class when built with a ``fabric`` spec, on
+    its :class:`~repro.resilience.supervisor.ShardSupervisor` subclass
+    otherwise.
 
     Parameters
     ----------
@@ -282,11 +300,12 @@ class FabricSupervisor:
         The :class:`FabricSpec` (worker count, backend, lease shape).
     policy:
         Per-shard retry/backoff/timeout budget; ``policy.timeout`` is
-        also the *real* wall-clock guard on each backend collect.
+        also the *real* wall-clock budget of each attempt, measured
+        from its submission.
     collector:
         :class:`~repro.report.run_stats.RunStatsCollector` receiving
-        per-worker fabric events (steals, lease expiries, fencings,
-        deaths, quarantines).
+        retries, quarantines, fallbacks, and per-worker events
+        (shards, steals, lease expiries, fencings, deaths, rejoins).
     plan:
         Optional chaos :class:`~repro.resilience.faults.FaultPlan`.
     journal:
@@ -332,14 +351,25 @@ class FabricSupervisor:
     def run(self, body: Callable, payloads: Sequence, label: str) -> list:
         """Execute every payload through ``body``, in shard order.
 
-        Same contract as ``ShardSupervisor.run``: a list indexed like
-        ``payloads``; :class:`~repro.resilience.supervisor.ShardFailure`
-        (or :class:`ShardQuarantined`) when a shard cannot complete.
+        Returns the per-shard results as a list indexed like
+        ``payloads``; raises
+        :class:`~repro.resilience.policy.ShardFailure` (or
+        :class:`ShardQuarantined`) when a shard cannot complete.
         """
+        try:
+            return self._run(body, payloads, label)
+        except BaseException:
+            # An aborted task can leave calls pending on its backends;
+            # the next task starts on fresh ones.
+            self.close()
+            raise
+
+    def _run(self, body: Callable, payloads: Sequence, label: str) -> list:
         n = len(payloads)
         if n == 0:
             return []
         plan = self.plan
+        timeout = self.policy.timeout
         shards = [_Shard(i) for i in range(n)]
         results: dict[int, object] = {}
 
@@ -359,9 +389,6 @@ class FabricSupervisor:
         # in O(shards * attempts * max-cost) ticks plus blackouts.
         max_ticks = 1000 + 64 * n * (self.policy.max_retries + 2)
 
-        def remaining_shards() -> list[_Shard]:
-            return [s for s in shards if s.status != _DONE]
-
         def requeue(slot: _Slot, fl: _Inflight) -> _Shard | None:
             """Void a lost attempt; the shard (if still ours) goes back
             to pending and is returned for failure accounting."""
@@ -378,14 +405,27 @@ class FabricSupervisor:
                 return shard
             return None
 
+        def fail(
+            slot: _Slot,
+            fl: _Inflight,
+            reason: str,
+            exc: BaseException,
+            fault_worker: int | None = None,
+        ) -> None:
+            """Requeue a failed attempt and account it.  Without a
+            ``fault_worker`` the worker, not the shard, is to blame:
+            the worker loses the lease and the shard takes no strike."""
+            shard = requeue(slot, fl)
+            if shard is None:
+                return
+            if fault_worker is None:
+                self.collector.record_lease_expiry(slot.id)
+            self._account_failure(label, shard, reason, exc, fault_worker)
+
         def expire_lease(slot: _Slot, reason: str, exc: BaseException) -> None:
             fl = slot.inflight
-            if fl is None or not fl.live:
-                return
-            shard = requeue(slot, fl)
-            if shard is not None:
-                self.collector.record_lease_expiry(slot.id)
-                self._account_failure(label, shard, reason, exc)
+            if fl is not None and fl.live:
+                fail(slot, fl, reason, exc)
 
         def kill_slot(slot: _Slot) -> None:
             slot.killed = True
@@ -393,7 +433,7 @@ class FabricSupervisor:
             self.collector.record_worker_death(slot.id)
             self._drop_backend(slot.id)
 
-        def claim_for(slot: _Slot) -> _Shard | None:
+        def claim_for(slot: _Slot, position: int) -> _Shard | None:
             def eligible(shard: _Shard) -> bool:
                 if slot.id not in shard.failed_workers:
                     return True
@@ -409,18 +449,18 @@ class FabricSupervisor:
 
             pending = [s for s in shards if s.status == _PENDING and eligible(s)]
             for shard in pending:
-                if shard.index % len(slots) == slot.id:
+                if shard.index % len(slots) == position:
                     return shard
             return pending[0] if pending else None
 
-        def accept(slot_id: int, fl: _Inflight, value: object) -> None:
+        def accept(slot: _Slot, fl: _Inflight, value: object) -> None:
             nonlocal completions
             shard = shards[fl.shard]
             shard.status = _DONE
             shard.owner = None
             shard.deadline = None
             results[shard.index] = value
-            self.collector.record_fabric_shard(slot_id)
+            self.collector.record_fabric_shard(slot.id)
             if self.journal is not None:
                 self.journal.record(
                     self._journal_key(label, shard.index), encode_result(value)
@@ -437,41 +477,37 @@ class FabricSupervisor:
             try:
                 if error is not None:
                     raise error
-                envelope = slot.backend.result(timeout=self.policy.timeout)
-            except (BrokenProcessPool, WorkerKilled, FutureTimeout) as exc:
-                # The *worker* died (or hung past the real wall-clock
-                # guard): not the shard's fault — no quarantine strike.
+                budget = None if fl.due is None else max(0.0, fl.due - time.monotonic())
+                envelope = slot.backend.result(timeout=budget)
+            except (BrokenProcessPool, WorkerKilled) as exc:
+                # The *worker* died: not the shard's fault.
                 kill_slot(slot)
-                shard = requeue(slot, fl)
-                if shard is not None:
-                    self.collector.record_lease_expiry(slot.id)
-                    self._account_failure(label, shard, "worker-died", exc)
+                fail(slot, fl, "worker-died", exc)
+                return
+            except FutureTimeout as exc:
+                # The attempt overran its budget.  Drop the hung backend
+                # so its late result can never be merged.
+                self._drop_backend(slot.id)
+                slot.backend = self._backend(slot.id)
+                fail(slot, fl, "timeout", exc, fault_worker=slot.id)
                 return
             except Exception as exc:
                 # The shard's own execution failed on this worker.
-                shard = requeue(slot, fl)
-                if shard is not None:
-                    reason = (
-                        "timeout" if isinstance(exc, SimulatedTimeout) else "crash"
-                    )
-                    self._account_failure(
-                        label, shard, reason, exc, fault_worker=slot.id
-                    )
+                reason = "timeout" if isinstance(exc, SimulatedTimeout) else "crash"
+                fail(slot, fl, reason, exc, fault_worker=slot.id)
                 return
             ok, value = open_envelope(envelope)
             if not ok:
-                shard = requeue(slot, fl)
-                if shard is not None:
-                    self._account_failure(
-                        label,
-                        shard,
-                        "corrupt-result",
-                        CorruptResult(
-                            f"shard {fl.shard} attempt {fl.attempt} from worker "
-                            f"{slot.id}: envelope failed checksum"
-                        ),
-                        fault_worker=slot.id,
-                    )
+                fail(
+                    slot,
+                    fl,
+                    "corrupt-result",
+                    CorruptResult(
+                        f"shard {fl.shard} attempt {fl.attempt} from worker "
+                        f"{slot.id}: envelope failed checksum"
+                    ),
+                    fault_worker=slot.id,
+                )
                 return
             shard = shards[fl.shard]
             if (
@@ -483,21 +519,26 @@ class FabricSupervisor:
                 # Zombie delivery: the lease moved on. Fence it.
                 self.collector.record_fenced(slot.id)
                 return
-            accept(slot.id, fl, value)
+            accept(slot, fl, value)
 
-        while remaining_shards():
+        while len(results) < n:
             tick += 1
             if tick > max_ticks:
                 raise FabricStalled(
                     f"task {label!r} stalled after {tick} ticks with "
-                    f"{len(remaining_shards())} shard(s) unfinished"
+                    f"{n - len(results)} shard(s) unfinished"
                 )
 
-            # Degrade when the whole fabric is gone.
+            # Fall back when the whole fabric is gone: one in-process
+            # slot joins this same loop, with nothing left to kill.
             if all(slot.killed for slot in slots):
                 self.collector.record_degraded()
-                self._run_degraded(body, payloads, label, shards, results, accept)
-                break
+                plan = _without_kills(plan)
+                fallback = self.spec.workers
+                self.collector.fabric_worker(fallback, "inproc-fallback")
+                slots = [
+                    _Slot(fallback, InProcessWorker(fallback), last_heartbeat=tick)
+                ]
 
             # 1. Heartbeats (blacked-out workers stay silent) + rejoin.
             for slot in slots:
@@ -549,14 +590,15 @@ class FabricSupervisor:
                     )
 
             # 4. Assignment: idle live workers claim their own partition
-            #    first, then steal the lowest pending shard.
-            for slot in slots:
+            #    (by position in ``slots``) first, then steal the lowest
+            #    pending shard.
+            for position, slot in enumerate(slots):
                 if slot.killed or not slot.alive or slot.inflight is not None:
                     continue
-                shard = claim_for(slot)
+                shard = claim_for(slot, position)
                 if shard is None:
                     continue
-                if shard.index % len(slots) != slot.id:
+                if shard.index % len(slots) != position:
                     self.collector.record_steal(slot.id)
                 shard.status = _LEASED
                 shard.owner = slot.id
@@ -595,8 +637,10 @@ class FabricSupervisor:
                     attempt=fl.attempt,
                     worker=slot.id,
                     plan=plan,
-                    timeout=self.policy.timeout,
+                    timeout=timeout,
                 )
+                if timeout is not None:
+                    fl.due = time.monotonic() + timeout
                 try:
                     slot.backend.submit(call)
                 except (BrokenProcessPool, OSError, RuntimeError) as exc:
@@ -606,81 +650,6 @@ class FabricSupervisor:
                 collect(slot, fl, submit_errors.get(slot.id))
 
         return [results[i] for i in range(n)]
-
-    # -- degraded serial path ---------------------------------------------
-
-    def _run_degraded(
-        self,
-        body: Callable,
-        payloads: Sequence,
-        label: str,
-        shards: list[_Shard],
-        results: dict[int, object],
-        accept: Callable,
-    ) -> None:
-        """Finish the remaining shards on an in-process fallback worker.
-
-        ``kill_worker`` faults are stripped first — there is no fabric
-        left to kill, the same way ``break_pool`` is a no-op in serial
-        mode — but crash/corrupt injection still applies, so retry
-        counters stay schedule-faithful even here.
-        """
-        plan = self.plan
-        if plan is not None and plan.worker_faults:
-            plan = replace(
-                plan,
-                worker_faults=tuple(
-                    f for f in plan.worker_faults if f.kind != "kill_worker"
-                ),
-            )
-        fallback = InProcessWorker(self.spec.workers)
-        self.collector.fabric_worker(fallback.worker_id, "inproc-fallback")
-        for shard in shards:
-            if shard.status == _DONE:
-                continue
-            shard.status = _PENDING
-            shard.owner = None
-            shard.deadline = None
-            while True:
-                fl = _Inflight(shard.index, shard.attempts, shard.epoch, 0)
-                fallback.submit(
-                    FabricCall(
-                        body=body,
-                        payload=payloads[shard.index],
-                        shard=shard.index,
-                        attempt=shard.attempts,
-                        worker=fallback.worker_id,
-                        plan=plan,
-                        timeout=self.policy.timeout,
-                    )
-                )
-                try:
-                    envelope = fallback.result(timeout=self.policy.timeout)
-                except Exception as exc:
-                    reason = (
-                        "timeout" if isinstance(exc, SimulatedTimeout) else "crash"
-                    )
-                    self._account_failure(
-                        label, shard, reason, exc, fault_worker=fallback.worker_id
-                    )
-                    continue
-                ok, value = open_envelope(envelope)
-                if not ok:
-                    self._account_failure(
-                        label,
-                        shard,
-                        "corrupt-result",
-                        CorruptResult(
-                            f"shard {shard.index} attempt {fl.attempt} from "
-                            f"fallback worker: envelope failed checksum"
-                        ),
-                        fault_worker=fallback.worker_id,
-                    )
-                    continue
-                shard.status = _LEASED
-                shard.owner = fallback.worker_id
-                accept(fallback.worker_id, fl, value)
-                break
 
     # -- shared accounting -------------------------------------------------
 

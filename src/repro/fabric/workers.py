@@ -13,20 +13,21 @@ Two backends implement the :class:`Worker` protocol:
 
 ``inproc`` — :class:`InProcessWorker`
     Executes in the coordinator's process at ``result()`` time.  The
-    fastest backend and the degradation target when every other worker
-    has died.
+    engine's default at ``--workers 1``, and the fallback when every
+    other worker has died.
 ``pool`` — :class:`PoolWorker`
-    One single-process ``ProcessPoolExecutor`` per worker, so a
-    ``kill_worker`` fault (``os._exit`` in the subprocess) kills *that
-    worker only*, and every call and envelope crosses a process
-    boundary by pickling — the coordinator shares no memory with it.
+    One single-process ``ProcessPoolExecutor`` per worker (the
+    engine's default at ``--workers N > 1``), so a ``kill_worker``
+    fault (``os._exit`` in the subprocess) kills *that worker only*,
+    and every call and envelope crosses a process boundary by
+    pickling — the coordinator shares no memory with it.
 
 Both backends funnel through module-level
-:func:`execute_fabric_call`, the single choke point where worker-level
-faults (``kill_worker``, ``corrupt_result``) and the shard faults of
-:mod:`repro.resilience.faults` are injected — the same
-single-choke-point design that makes chaos schedules uniform across
-worker counts and backends.
+:func:`execute_fabric_call`, the package's one fault-injection point:
+worker-level faults (``kill_worker``, ``corrupt_result``) and the
+shard faults of :mod:`repro.resilience.faults` are injected there,
+which is what makes chaos schedules uniform across worker counts and
+backends.
 """
 
 from __future__ import annotations
@@ -70,10 +71,9 @@ def decode_result(text: str) -> Any:
 class FabricCall:
     """One shard attempt, addressed to one worker.
 
-    Picklable in full (``body`` must be a module-level callable, the
-    same constraint the pool supervisor imposes) so either backend —
-    in-process or subprocess — receives the identical work
-    description.
+    Picklable in full (``body`` must be a module-level callable) so
+    either backend — in-process or subprocess — receives the identical
+    work description.
 
     Attributes
     ----------
@@ -153,7 +153,7 @@ def execute_fabric_call(call: FabricCall, in_subprocess: bool) -> dict:
     Worker faults fire first: a matching ``kill_worker`` exits the
     subprocess hard (breaking its pool, as a real worker death would)
     or raises :class:`~repro.resilience.faults.WorkerKilled` for
-    backends living in the coordinator's process.  Then the PR-5 shard
+    backends living in the coordinator's process.  Then the shard
     faults are injected, then the body runs, and the result is sealed
     (which is where ``corrupt_result`` faults apply).
     """

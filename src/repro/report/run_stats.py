@@ -16,13 +16,13 @@ __all__ = ["FabricWorkerStats", "RetryRecord", "RunStatsCollector", "ShardRecord
 
 @dataclass
 class FabricWorkerStats:
-    """Per-worker accounting for one fabric worker.
+    """Per-worker accounting for one supervisor worker.
 
     Attributes
     ----------
     worker:
-        Fabric worker id (the degraded-mode fallback worker uses the
-        first id past the configured worker count).
+        Worker id (the in-process fallback worker uses the first id
+        past the configured worker count).
     backend:
         Backend kind (``inproc``/``pool``/``inproc-fallback``).
     shards:
@@ -64,8 +64,10 @@ class RetryRecord:
     shard:
         Which shard of the task was retried.
     reason:
-        ``"crash"`` (the attempt raised) or ``"timeout"`` (the attempt
-        exceeded the policy's per-shard budget).
+        ``"crash"`` (the attempt raised), ``"timeout"`` (the attempt
+        exceeded the policy's per-attempt budget), ``"corrupt-result"``
+        (its envelope failed its checksum), ``"worker-died"`` or
+        ``"lease-expired"`` (the worker, not the shard, failed).
     """
 
     task: str
@@ -85,7 +87,7 @@ class ShardRecord:
         Mapping draws the shard simulated.
     seconds:
         Wall time of the shard body (measured inside the worker, so
-        pool scheduling overhead is excluded).
+        dispatch overhead is excluded).
     """
 
     task: str
@@ -105,7 +107,6 @@ class RunStatsCollector:
     cache_hits: int = 0
     cache_misses: int = 0
     retries: list[RetryRecord] = field(default_factory=list)
-    pool_respawns: int = 0
     degraded_runs: int = 0
     fabric_workers: dict[int, FabricWorkerStats] = field(default_factory=dict)
     quarantined: list[tuple[str, int]] = field(default_factory=list)
@@ -119,21 +120,15 @@ class RunStatsCollector:
         else:
             self.cache_misses += 1
 
-    # -- resilience events (see repro.resilience.supervisor) -------------
+    # -- supervisor events (see repro.fabric.supervisor) -----------------
 
     def record_retry(self, task: str, shard: int, reason: str) -> None:
         """One shard attempt failed and was retried."""
         self.retries.append(RetryRecord(task, shard, reason))
 
-    def record_pool_respawn(self) -> None:
-        """A BrokenProcessPool was recovered by rebuilding the pool."""
-        self.pool_respawns += 1
-
     def record_degraded(self) -> None:
-        """Pool recovery gave up; a run finished serially in-process."""
+        """Every worker died; a task finished on the in-process fallback."""
         self.degraded_runs += 1
-
-    # -- fabric events (see repro.fabric.supervisor) ----------------------
 
     def fabric_worker(self, worker: int, backend: str = "") -> FabricWorkerStats:
         """Get-or-create the per-worker stats row for ``worker``."""
@@ -179,8 +174,8 @@ class RunStatsCollector:
 
         Note: execution-fault retries are worker-count-independent for
         a fixed fault schedule (enforced by ``tests/test_chaos.py``);
-        ``pool_respawns``/``degraded_runs`` are infrastructure events
-        that only exist when a pool does.
+        ``"worker-died"`` retries and ``degraded_runs`` are
+        infrastructure events that depend on which workers exist.
         """
         counts: dict[str, int] = {}
         for record in self.retries:
@@ -262,16 +257,15 @@ class RunStatsCollector:
             )
         else:
             lines.append("cache: disabled or unused")
-        if self.retries or self.pool_respawns or self.degraded_runs:
+        if self.retries or self.degraded_runs:
             reasons = ", ".join(
                 f"{n} {reason}" for reason, n in sorted(self.retry_counts.items())
             )
             lines.append(
                 f"resilience: {len(self.retries)} shard retries"
                 + (f" ({reasons})" if reasons else "")
-                + f", {self.pool_respawns} pool respawns"
                 + (
-                    f", {self.degraded_runs} degraded to serial"
+                    f", {self.degraded_runs} finished on the in-process fallback"
                     if self.degraded_runs
                     else ""
                 )

@@ -1,9 +1,9 @@
 """Fault-tolerant execution layer for the Monte-Carlo engine.
 
 The paper bounds congestion under *malicious* access patterns; this
-package bounds the damage of *execution-level* faults — crashed pool
-workers, hung shards, broken pools, torn cache writes, interrupted
-sweeps — while preserving the repository's load-bearing contract:
+package bounds the damage of *execution-level* faults — crashed or
+killed workers, hung shards, torn cache writes, interrupted sweeps —
+while preserving the repository's load-bearing contract:
 
 > a fixed seed produces bit-identical results for every worker count,
 > every cache state, **and every recoverable fault schedule**.
@@ -11,11 +11,15 @@ sweeps — while preserving the repository's load-bearing contract:
 Modules
 -------
 :mod:`repro.resilience.policy`
-    :class:`RetryPolicy` — retries, per-shard timeouts, exponential
-    backoff with deterministic jitter, pool-respawn budget.
+    :class:`RetryPolicy` — retries, per-attempt timeouts, exponential
+    backoff with deterministic jitter; :class:`ShardFailure` when a
+    shard spends its budget.
 :mod:`repro.resilience.supervisor`
-    :class:`ShardSupervisor` — the supervised execution loop used by
-    :class:`repro.sim.engine.MonteCarloEngine`.
+    :class:`ShardSupervisor` — the default supervisor of
+    :class:`repro.sim.engine.MonteCarloEngine`: the one lease loop of
+    :class:`repro.fabric.FabricSupervisor` on ``--workers N`` local
+    workers.  Loaded on first use, because :mod:`repro.fabric` imports
+    this package.
 :mod:`repro.resilience.faults`
     The deterministic chaos harness: :class:`FaultPlan` schedules and
     the builtin plans the property tests run.
@@ -46,8 +50,7 @@ from repro.resilience.journal import (
     tail_records,
     verify_journal,
 )
-from repro.resilience.policy import RetryPolicy, deterministic_jitter
-from repro.resilience.supervisor import ShardFailure, ShardSupervisor
+from repro.resilience.policy import RetryPolicy, ShardFailure, deterministic_jitter
 
 __all__ = [
     "BUILTIN_FAULT_PLANS",
@@ -73,3 +76,11 @@ __all__ = [
     "tail_records",
     "verify_journal",
 ]
+
+
+def __getattr__(name: str):
+    if name == "ShardSupervisor":
+        from repro.resilience.supervisor import ShardSupervisor
+
+        return ShardSupervisor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

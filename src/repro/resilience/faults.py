@@ -11,8 +11,10 @@ which is what lets the property tests assert the recovery contract:
 > final :class:`~repro.sim.congestion_sim.CongestionStats` are
 > **bit-identical** to the fault-free run, at every worker count.
 
-Shard faults are injected by the supervised shard wrapper (in the
-worker process for pool mode, in-process for serial mode); cache
+Shard and worker faults are injected at one point,
+:func:`repro.fabric.workers.execute_fabric_call`, which every shard
+attempt passes through (in the worker's subprocess for ``pool``
+workers, in the coordinator's process for ``inproc`` ones); cache
 faults are injected by :meth:`repro.sim.cache.ResultCache.put`.
 
 Fault kinds
@@ -20,17 +22,17 @@ Fault kinds
 ``crash``
     The shard raises :class:`InjectedCrash` before doing any work.
 ``delay``
-    The shard sleeps ``delay`` seconds before doing its work.  In pool
-    mode this trips the supervisor's real ``future.result`` timeout;
-    in serial mode (which cannot preempt in-process work) a delay
-    longer than the policy timeout raises :class:`SimulatedTimeout`
-    instead of sleeping, so the retry schedule is identical across
-    worker counts.
+    The shard sleeps ``delay`` seconds before doing its work.  On a
+    ``pool`` worker this trips the supervisor's real timeout; an
+    in-process worker (which cannot be preempted) raises
+    :class:`SimulatedTimeout` instead of sleeping when the delay is
+    longer than the policy timeout, so the retry schedule is identical
+    across worker counts.
 ``break_pool``
-    The worker process exits hard (``os._exit``), breaking the whole
-    ``ProcessPoolExecutor`` — every outstanding future fails with
-    ``BrokenProcessPool`` and the supervisor must respawn the pool.
-    In serial mode there is no pool to break, so the fault is a no-op.
+    The worker process exits hard (``os._exit``), breaking that
+    worker's single-process pool: the supervisor declares the worker
+    dead and retries the shard elsewhere.  An in-process worker has no
+    pool to break, so the fault is a no-op there.
 
 Cache faults are put-indexed (the Nth ``put`` of the cache instance):
 ``tear_puts`` simulates a torn non-atomic write (a truncated JSON file
@@ -39,9 +41,10 @@ appears under the entry's real name, plus an orphaned ``.tmp``);
 
 Worker faults
 -------------
-The distributed sweep fabric (:mod:`repro.fabric`) adds a second fault
-coordinate system: *workers*.  A :class:`WorkerFault` targets a fabric
-worker id and/or a shard, in the fabric's deterministic virtual time:
+The shard supervisor (:mod:`repro.fabric`) adds a second fault
+coordinate system: *workers*.  A :class:`WorkerFault` targets a
+worker id and/or a shard, in the supervisor's deterministic virtual
+time:
 
 ``kill_worker``
     The worker dies permanently when it executes the matching shard
@@ -97,7 +100,7 @@ class InjectedCrash(InjectedFault):
 
 
 class SimulatedTimeout(InjectedFault):
-    """A scheduled delay surfacing as a timeout in serial mode."""
+    """A scheduled delay surfacing as a timeout on an in-process worker."""
 
 
 class WorkerKilled(InjectedFault):
@@ -158,8 +161,9 @@ class WorkerFault:
     worker:
         Target fabric worker id; ``None`` matches any worker.  A plan
         targeting a worker id that does not exist at the current worker
-        count is a no-op there (mirroring ``break_pool`` in serial
-        mode), which is what keeps one plan usable at every count.
+        count is a no-op there (mirroring ``break_pool`` on an
+        in-process worker), which is what keeps one plan usable at
+        every count.
     shard:
         Target shard index; ``None`` matches any shard.
     attempts:
@@ -228,8 +232,8 @@ class FaultPlan:
         0-based cache ``put`` indices whose entry is overwritten with
         garbage bytes *after* a successful atomic write.
     worker_faults:
-        Worker-level faults consumed by the fabric coordinator
-        (:mod:`repro.fabric`); the single-pool supervisor ignores them.
+        Worker-level faults consumed by the shard supervisor
+        (:mod:`repro.fabric`), with or without a ``fabric`` spec.
     kill_coordinator_after:
         When set, the fabric coordinator raises
         :class:`~repro.fabric.CoordinatorKilled` after this many shard
@@ -305,10 +309,10 @@ def inject_shard_fault(
 ) -> None:
     """Apply the scheduled fault for ``(shard, attempt)``, if any.
 
-    Called by the supervised shard wrapper immediately before the
-    shard body runs — in the worker process for pool mode
-    (``in_pool=True``), in-process for serial mode.  See the module
-    docstring for per-kind semantics.
+    Called by :func:`repro.fabric.workers.execute_fabric_call`
+    immediately before the shard body runs — in the worker's
+    subprocess for ``pool`` workers (``in_pool=True``), in-process
+    otherwise.  See the module docstring for per-kind semantics.
     """
     if plan is None:
         return
@@ -327,7 +331,7 @@ def inject_shard_fault(
             )
         time.sleep(fault.delay)
         return
-    # break_pool: only a pool can break.  Serial mode has no worker
+    # break_pool: only a pool can break.  An in-process worker has no
     # process to kill, so the fault degrades to a no-op there.
     if in_pool:
         os._exit(13)
@@ -341,9 +345,9 @@ BUILTIN_FAULT_PLANS: dict[str, FaultPlan] = {
         name="shard-crash-x2",
         shard_faults=(ShardFault(kind="crash", shard=1, attempts=(0, 1)),),
     ),
-    # Pair with a policy whose per-shard timeout is < 2.5s (the chaos
-    # tests use timeout=1.0): pool mode trips the real future timeout,
-    # serial mode raises the simulated one.
+    # Pair with a policy whose per-attempt timeout is < 2.5s (the chaos
+    # tests use timeout=1.0): a pool worker trips the real timeout, an
+    # in-process worker raises the simulated one.
     "shard-timeout": FaultPlan(
         name="shard-timeout",
         shard_faults=(ShardFault(kind="delay", shard=2, attempts=(0,), delay=2.5),),
@@ -372,7 +376,7 @@ def builtin_fault_plan(name: str) -> FaultPlan:
 #: CI ``chaos`` matrix.  Faults are shard-keyed wherever a counter must
 #: be worker-count-independent; worker-keyed faults target worker 1 so
 #: the plan degrades to a no-op at ``workers=1`` (worker 0 only), the
-#: same convention ``break_pool`` uses for serial mode.
+#: same convention ``break_pool`` uses on an in-process worker.
 BUILTIN_WORKER_FAULT_PLANS: dict[str, FaultPlan] = {
     "kill-worker": FaultPlan(
         name="kill-worker",

@@ -1,11 +1,10 @@
 """Retry/timeout/backoff policy for supervised shard execution.
 
-The supervision loop (:mod:`repro.resilience.supervisor`) is driven
-entirely by one frozen :class:`RetryPolicy`: how many times a shard may
-be retried, how long a pooled shard may run before it is abandoned,
-how long to back off between attempts, and how many times a broken
-process pool may be rebuilt before the engine degrades to in-process
-serial execution.
+The shard supervisor (:mod:`repro.fabric.supervisor`) is driven by one
+frozen :class:`RetryPolicy`: how many times a shard may be retried,
+how long an attempt may run before it is abandoned, and how long to
+back off between attempts.  A shard that spends its budget raises
+:class:`ShardFailure`.
 
 Backoff jitter is **deterministic**: it is derived by hashing
 ``(label, shard, attempt)``, never from a live RNG or the clock, so a
@@ -22,7 +21,26 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-__all__ = ["RetryPolicy", "deterministic_jitter"]
+__all__ = ["RetryPolicy", "ShardFailure", "deterministic_jitter"]
+
+
+class ShardFailure(RuntimeError):
+    """A shard exhausted its retry budget.
+
+    Attributes
+    ----------
+    label, shard, attempts:
+        Which task's shard failed and how many attempts it consumed.
+    """
+
+    def __init__(self, label: str, shard: int, attempts: int, cause: BaseException):
+        super().__init__(
+            f"shard {shard} of task {label!r} failed {attempts} attempt(s); "
+            f"last error: {cause!r}"
+        )
+        self.label = label
+        self.shard = shard
+        self.attempts = attempts
 
 
 def deterministic_jitter(label: str, shard: int, attempt: int) -> float:
@@ -45,22 +63,18 @@ class RetryPolicy:
     max_retries:
         Retries allowed per shard *beyond* its first attempt.  A shard
         that fails ``max_retries + 1`` times raises
-        :class:`~repro.resilience.supervisor.ShardFailure`.
+        :class:`ShardFailure`.
     timeout:
-        Per-shard wall-clock budget in seconds, measured from
-        submission.  ``None`` disables timeouts.  Enforced by
-        abandoning the future in pool mode; in-process (serial)
-        execution cannot be preempted, so only *injected* delays are
+        Per-attempt wall-clock budget in seconds, measured from
+        submission.  ``None`` disables timeouts.  Enforced on ``pool``
+        workers by abandoning the hung worker process; in-process
+        workers cannot be preempted, so only *injected* delays are
         converted into simulated timeouts there (keeping chaos
         schedules uniform across worker counts).
     backoff_base, backoff_factor, backoff_max:
         Exponential backoff: attempt ``a`` waits
         ``min(backoff_max, backoff_base * backoff_factor**a)`` seconds,
         scaled into ``[1/2, 1)`` of itself by the deterministic jitter.
-    max_pool_respawns:
-        How many times a ``BrokenProcessPool`` may be rebuilt before
-        the supervisor gives up on multiprocessing and finishes the
-        remaining shards serially in-process (graceful degradation).
     sleep:
         Injectable sleep function (tests pass a no-op so chaos suites
         finish instantly).
@@ -71,7 +85,6 @@ class RetryPolicy:
     backoff_base: float = 0.05
     backoff_factor: float = 2.0
     backoff_max: float = 2.0
-    max_pool_respawns: int = 2
     sleep: Callable[[float], None] = field(default=time.sleep, repr=False)
 
     def __post_init__(self) -> None:
@@ -81,10 +94,6 @@ class RetryPolicy:
             raise ValueError(f"timeout must be positive or None, got {self.timeout}")
         if self.backoff_base < 0 or self.backoff_max < 0:
             raise ValueError("backoff durations must be >= 0")
-        if self.max_pool_respawns < 0:
-            raise ValueError(
-                f"max_pool_respawns must be >= 0, got {self.max_pool_respawns}"
-            )
 
     def backoff(self, label: str, shard: int, attempt: int) -> float:
         """Backoff before retry number ``attempt`` of ``shard`` (seconds)."""

@@ -1,105 +1,51 @@
-"""Shard supervision: timeouts, bounded retries, pool recovery.
+"""The engine's default shard supervisor.
 
-:class:`ShardSupervisor` executes an ordered list of shard payloads
-through a module-level body callable, adding the fault tolerance the
-bare executor loops lacked:
+:class:`ShardSupervisor` is the lease loop of
+:class:`repro.fabric.supervisor.FabricSupervisor` on ``workers`` local
+workers: one in-process worker when ``workers == 1``, one
+single-process pool per worker otherwise.  It is the same loop, with
+the same single fault-injection point
+(:func:`repro.fabric.workers.execute_fabric_call`), that ``--fabric``
+runs: per-attempt timeouts measured from submission, bounded retries
+with deterministic backoff, a dead worker out for the rest of its task,
+and an in-process fallback when every worker has died.
 
-* **Per-shard timeouts** (pool mode): a shard that exceeds
-  ``policy.timeout`` is abandoned and retried.  The zombie worker may
-  finish in the background; its result is discarded, which is safe
-  because a retried shard recomputes the *same* bits from the same
-  spawned stream.
-* **Bounded retries with exponential backoff + deterministic jitter**:
-  every shard failure (crash, timeout, injected fault) is retried up
-  to ``policy.max_retries`` times; beyond that the supervisor cancels
-  all outstanding futures and raises :class:`ShardFailure` — no more
-  "one shard died, the rest keep burning cores".
-* **Pool respawn**: a ``BrokenProcessPool`` (worker killed by the OS,
-  OOM, a hard crash in native code) rebuilds the pool and resubmits
-  every unfinished shard.  After ``policy.max_pool_respawns`` breaks
-  the supervisor *degrades gracefully*: the remaining shards run
-  serially in-process and the run still completes.
-
-Throughout, results are collected **in shard order** and each retry
-re-derives its stream from the shard's own ``SeedSequence``, so a run
-that survives N faults is bit-identical to a fault-free run — the
-engine's determinism contract is also its *recovery* contract.
+Results are collected **in shard order** and each retry re-derives its
+stream from the shard's own ``SeedSequence``, so a run that survives N
+faults is bit-identical to a fault-free run — the engine's determinism
+contract is also its *recovery* contract.
 """
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import Future, TimeoutError as FutureTimeout
-from concurrent.futures.process import BrokenProcessPool
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING
 
-from repro.resilience.faults import FaultPlan, SimulatedTimeout, inject_shard_fault
-from repro.resilience.policy import RetryPolicy
+from repro.fabric.supervisor import FabricSpec, FabricSupervisor
+from repro.resilience.faults import FaultPlan
+from repro.resilience.policy import RetryPolicy, ShardFailure
 
 if TYPE_CHECKING:  # pragma: no cover
-    from concurrent.futures import ProcessPoolExecutor
-
     from repro.report.run_stats import RunStatsCollector
 
 __all__ = ["ShardFailure", "ShardSupervisor"]
 
 
-class ShardFailure(RuntimeError):
-    """A shard exhausted its retry budget.
-
-    Attributes
-    ----------
-    label, shard, attempts:
-        Which task's shard failed and how many attempts it consumed.
-    """
-
-    def __init__(self, label: str, shard: int, attempts: int, cause: BaseException):
-        super().__init__(
-            f"shard {shard} of task {label!r} failed {attempts} attempt(s); "
-            f"last error: {cause!r}"
-        )
-        self.label = label
-        self.shard = shard
-        self.attempts = attempts
-
-
-def _supervised_call(
-    body: Callable,
-    payload,
-    shard: int,
-    attempt: int,
-    plan: FaultPlan | None,
-    timeout: float | None,
-    in_pool: bool,
-):
-    """Run one shard attempt: inject any scheduled fault, then the body.
-
-    Module-level so it pickles under every multiprocessing start
-    method.  This is the single choke point both execution modes share,
-    which is what makes chaos schedules uniform across worker counts.
-    """
-    inject_shard_fault(plan, shard, attempt, in_pool=in_pool, timeout=timeout)
-    return body(payload)
-
-
-class ShardSupervisor:
-    """Fault-tolerant executor for one engine's shard batches.
+class ShardSupervisor(FabricSupervisor):
+    """The fabric loop on ``workers`` local workers (the engine default).
 
     Parameters
     ----------
     workers:
-        Resolved worker count; ``<= 1`` selects the serial path.
+        Worker count (``>= 1``): ``1`` runs shards in-process, more
+        give each worker its own subprocess.
     policy:
         The :class:`RetryPolicy` driving timeouts/retries/backoff.
     collector:
-        :class:`RunStatsCollector` receiving retry / pool-respawn /
-        degradation events (pure bookkeeping, never results).
+        :class:`RunStatsCollector` receiving retry and per-worker
+        events (pure bookkeeping, never results).
     plan:
-        Optional :class:`FaultPlan` for chaos runs.
-    get_pool, respawn_pool:
-        Engine callbacks providing (and rebuilding) the shared
-        ``ProcessPoolExecutor``; the supervisor never owns the pool, so
-        one pool serves every task of an engine run.
+        Optional :class:`FaultPlan` for chaos runs; its shard and
+        worker faults both apply.
     """
 
     def __init__(
@@ -108,163 +54,12 @@ class ShardSupervisor:
         policy: RetryPolicy,
         collector: "RunStatsCollector",
         plan: FaultPlan | None = None,
-        get_pool: Callable[[], "ProcessPoolExecutor"] | None = None,
-        respawn_pool: Callable[[], "ProcessPoolExecutor"] | None = None,
     ) -> None:
-        self.workers = workers
-        self.policy = policy
-        self.collector = collector
-        self.plan = plan
-        self._get_pool = get_pool
-        self._respawn_pool = respawn_pool
+        backend = "inproc" if workers == 1 else "pool"
+        super().__init__(
+            FabricSpec(workers=workers, backend=backend), policy, collector, plan
+        )
 
-    # -- public ----------------------------------------------------------
-
-    def run(self, body: Callable, payloads: Sequence, label: str) -> list:
-        """Execute every payload through ``body``, in shard order.
-
-        Returns the per-shard results as a list indexed like
-        ``payloads``; raises :class:`ShardFailure` if any shard
-        exhausts its retry budget.
-        """
-        n = len(payloads)
-        if n == 0:
-            return []
-        if self.workers <= 1 or n <= 1 or self._get_pool is None:
-            results: dict[int, object] = {}
-            self._run_serial(body, payloads, label, range(n), [0] * n, results)
-            return [results[i] for i in range(n)]
-        return self._run_pooled(body, payloads, label)
-
-    # -- serial path (also the degradation target) -----------------------
-
-    def _run_serial(
-        self,
-        body: Callable,
-        payloads: Sequence,
-        label: str,
-        indices,
-        attempts: list[int],
-        results: dict[int, object],
-    ) -> None:
-        timeout = self.policy.timeout
-        for i in indices:
-            while True:
-                try:
-                    results[i] = _supervised_call(
-                        body, payloads[i], i, attempts[i], self.plan, timeout,
-                        in_pool=False,
-                    )
-                    break
-                except Exception as exc:
-                    reason = (
-                        "timeout" if isinstance(exc, SimulatedTimeout) else "crash"
-                    )
-                    self._account_failure(label, i, attempts, reason, exc)
-
-    # -- pooled path ------------------------------------------------------
-
-    def _run_pooled(self, body: Callable, payloads: Sequence, label: str) -> list:
-        n = len(payloads)
-        timeout = self.policy.timeout
-        attempts = [0] * n
-        results: dict[int, object] = {}
-        futures: dict[int, Future] = {}
-        deadlines: dict[int, float | None] = {}
-        respawns = 0
-        pool = self._get_pool()
-
-        def submit(i: int) -> None:
-            futures[i] = pool.submit(
-                _supervised_call, body, payloads[i], i, attempts[i], self.plan,
-                timeout, True,
-            )
-            deadlines[i] = None if timeout is None else time.monotonic() + timeout
-
-        def handle_pool_break() -> bool:
-            """Respawn and resubmit; returns False when degrading."""
-            nonlocal respawns, pool
-            respawns += 1
-            unfinished = [k for k in range(n) if k not in results]
-            # The breaking shard cannot be identified from the wreckage
-            # (every outstanding future fails alike), so each unfinished
-            # shard advances one attempt — which also steps past the
-            # scheduled fault that broke the pool.
-            for k in unfinished:
-                attempts[k] += 1
-            if respawns > self.policy.max_pool_respawns:
-                self.collector.record_degraded()
-                self._run_serial(body, payloads, label, unfinished, attempts, results)
-                return False
-            self.collector.record_pool_respawn()
-            pool = self._respawn_pool()
-            for k in unfinished:
-                submit(k)
-            return True
-
-        try:
-            for i in range(n):
-                submit(i)
-        except (BrokenProcessPool, RuntimeError) as exc:
-            # A pool broken before/while submitting (e.g. by a previous
-            # task's zombie) is recovered the same way as a mid-run break.
-            if isinstance(exc, BrokenProcessPool) or "broken" in str(exc).lower():
-                if not handle_pool_break():
-                    return [results[i] for i in range(n)]
-            else:
-                raise
-
-        while len(results) < n:
-            i = min(k for k in range(n) if k not in results)
-            future = futures[i]
-            try:
-                if deadlines[i] is None:
-                    results[i] = future.result()
-                else:
-                    remaining = max(0.0, deadlines[i] - time.monotonic())
-                    results[i] = future.result(timeout=remaining)
-                continue
-            except BrokenProcessPool:
-                if not handle_pool_break():
-                    break
-                continue
-            except FutureTimeout as exc:
-                future.cancel()  # a running future won't cancel; abandoned
-                self._account_failure(
-                    label, i, attempts, "timeout", exc,
-                    outstanding=[f for k, f in futures.items() if k != i],
-                )
-            except Exception as exc:
-                self._account_failure(
-                    label, i, attempts, "crash", exc,
-                    outstanding=[f for k, f in futures.items() if k != i],
-                )
-            submit(i)
-
-        return [results[i] for i in range(n)]
-
-    # -- shared failure accounting ----------------------------------------
-
-    def _account_failure(
-        self,
-        label: str,
-        shard: int,
-        attempts: list[int],
-        reason: str,
-        exc: BaseException,
-        outstanding: list[Future] | None = None,
-    ) -> None:
-        """Record one failed attempt; raise when the budget is spent.
-
-        On terminal failure every outstanding future is cancelled first
-        (queued shards never start; running ones are abandoned), so a
-        propagating error does not leave the pool burning cores.
-        """
-        failed_attempt = attempts[shard]
-        attempts[shard] += 1
-        if attempts[shard] > self.policy.max_retries:
-            for future in outstanding or ():
-                future.cancel()
-            raise ShardFailure(label, shard, attempts[shard], exc) from exc
-        self.collector.record_retry(label, shard, reason)
-        self.policy.wait(label, shard, failed_attempt)
+    # The same function, bound in this class's own namespace so that
+    # ShardSupervisor.run and FabricSupervisor.run can be traced apart.
+    run = FabricSupervisor.run

@@ -10,8 +10,8 @@ each such task into a deterministic shard plan:
 2. Each shard gets its own child :class:`~numpy.random.SeedSequence`
    via ``SeedSequence.spawn`` — non-overlapping streams by
    construction, picklable across process boundaries.
-3. Shards run serially in-process (``workers <= 1``) or on a
-   ``ProcessPoolExecutor`` (``workers > 1``).
+3. Shards run on one in-process worker (``workers == 1``) or on
+   ``workers`` single-process pools (``workers > 1``).
 4. Per-shard :class:`~repro.sim.congestion_sim.RunningStats` partials
    are merged **in shard order** with Chan's exact pairwise combine.
 
@@ -24,38 +24,31 @@ stores the finished stats losslessly, so cache-warm results are
 bit-identical to cache-cold ones as well; both invariants are enforced
 by ``tests/test_engine.py``.
 
-Shards execute under a :class:`~repro.resilience.supervisor.ShardSupervisor`:
-per-shard timeouts, bounded retries with deterministic backoff,
-automatic pool respawn on ``BrokenProcessPool``, and graceful
-degradation to in-process serial execution.  A retried shard re-derives
-its stream from its own spawned ``SeedSequence``, so a run that
-survives faults stays bit-identical to a fault-free run — the
-determinism contract doubles as a *recovery* contract
-(``tests/test_chaos.py``).
-
-Built with a ``fabric`` spec, the engine routes the same shard plan
-through :class:`repro.fabric.FabricSupervisor` instead: N pluggable
-workers under lease-based work stealing with heartbeat failure
-detection, epoch fencing, and quarantine (``tests/test_fabric.py``).
-Either way the supervisor is an execution detail — results are
-bit-identical across serial, pool, and fabric execution.
+Shards execute under the one shard supervisor,
+:class:`repro.fabric.FabricSupervisor`: lease-based work stealing,
+per-attempt timeouts, bounded retries with deterministic backoff,
+quarantine, and an in-process fallback when every worker has died.
+Without a ``fabric`` spec the engine runs it as
+:class:`~repro.resilience.supervisor.ShardSupervisor` on ``workers``
+local workers.  A retried shard re-derives its stream from its own
+spawned ``SeedSequence``, so a run that survives faults stays
+bit-identical to a fault-free run — the determinism contract doubles
+as a *recovery* contract (``tests/test_chaos.py``,
+``tests/test_fabric.py``).  The supervisor is an execution detail:
+results are bit-identical for every worker count and fabric spec.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from time import perf_counter
-from typing import Callable, Sequence
-
-import multiprocessing
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.fabric import FabricSpec
     from repro.report.run_stats import RunStatsCollector
     from repro.resilience.journal import SweepJournal
 
+from repro.fabric import FabricSpec, FabricSupervisor, parse_fabric_spec
 from repro.resilience.faults import FaultPlan
 from repro.resilience.policy import RetryPolicy
 from repro.resilience.supervisor import ShardSupervisor
@@ -101,7 +94,7 @@ def _run_shard(task: tuple) -> tuple[RunningStats, float]:
 
     Module-level so it pickles under every multiprocessing start
     method; the wall time is measured here, inside the worker, so the
-    instrumentation reports simulation cost rather than pool latency.
+    instrumentation reports simulation cost rather than dispatch latency.
     """
     kind, params, trials, seed_seq = task
     start = perf_counter()
@@ -117,15 +110,16 @@ def _shard_sizes(trials: int, shards: int) -> list[int]:
 
 
 class MonteCarloEngine:
-    """Executes congestion-simulation tasks over a process pool + cache.
+    """Executes congestion-simulation tasks over supervised workers + cache.
 
     Parameters
     ----------
     workers:
-        Process count.  ``1`` (default) runs shards serially in-process
-        — no pool, no pickling — but through the *same* shard plan, so
-        results match any other worker count bit for bit.  ``None`` or
-        ``0`` uses every core.
+        Worker count.  ``1`` (default) runs shards on one in-process
+        worker — no subprocess — but through the *same* shard plan, so
+        results match any other worker count bit for bit.  More
+        workers each get their own subprocess.  ``None`` or ``0`` uses
+        every core.
     cache:
         A :class:`ResultCache`, ``True`` for one rooted at the default
         directory, or ``None``/``False`` to disable caching.
@@ -137,19 +131,18 @@ class MonteCarloEngine:
         Optional :class:`RunStatsCollector`; one is created if omitted.
     policy:
         Optional :class:`~repro.resilience.policy.RetryPolicy` for the
-        shard supervisor (retries, per-shard timeout, backoff, pool
-        respawn budget).  Defaults cover transient worker loss without
-        affecting results.
+        shard supervisor (retries, per-attempt timeout, backoff).
+        Defaults cover transient worker loss without affecting results.
     faults:
         Optional :class:`~repro.resilience.faults.FaultPlan` — the
         deterministic chaos harness.  Production runs leave this
         ``None``.
     fabric:
         Optional :class:`~repro.fabric.FabricSpec` (or a spec string
-        like ``"workers=4,backend=pool"``) selecting the distributed
-        sweep fabric instead of the single-pool supervisor.  The shard
-        plan, streams, and merge order are unchanged, so fabric
-        results are bit-identical to pool and serial results.
+        like ``"workers=4,backend=pool"``) shaping the supervisor's
+        fabric explicitly; ``workers`` is then ignored.  The shard
+        plan, streams, and merge order are unchanged, so results are
+        bit-identical either way.
     fabric_journal:
         Optional :class:`~repro.resilience.journal.SweepJournal` the
         fabric checkpoints accepted shards into (per-shard resume for
@@ -188,66 +181,27 @@ class MonteCarloEngine:
         self.collector = collector if collector is not None else RunStatsCollector()
         self.policy = policy if policy is not None else RetryPolicy()
         self.faults = faults
-        self._pool: ProcessPoolExecutor | None = None
-        if fabric is not None:
-            from repro.fabric import FabricSupervisor, parse_fabric_spec
-
+        self._supervisor: FabricSupervisor
+        if fabric is None:
+            self.fabric = None
+            self._supervisor = ShardSupervisor(
+                self.workers, self.policy, self.collector, self.faults
+            )
+        else:
             if isinstance(fabric, str):
                 fabric = parse_fabric_spec(fabric)
             self.fabric = fabric
-            self._supervisor: "ShardSupervisor | FabricSupervisor" = (
-                FabricSupervisor(
-                    spec=fabric,
-                    policy=self.policy,
-                    collector=self.collector,
-                    plan=self.faults,
-                    journal=fabric_journal,
-                )
-            )
-        else:
-            self.fabric = None
-            self._supervisor = ShardSupervisor(
-                workers=self.workers,
+            self._supervisor = FabricSupervisor(
+                spec=fabric,
                 policy=self.policy,
                 collector=self.collector,
                 plan=self.faults,
-                get_pool=self._get_pool,
-                respawn_pool=self._respawn_pool,
+                journal=fabric_journal,
             )
-
-    # -- pool lifecycle --------------------------------------------------
-
-    def _get_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            methods = multiprocessing.get_all_start_methods()
-            context = multiprocessing.get_context(
-                "fork" if "fork" in methods else None
-            )
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=context
-            )
-        return self._pool
-
-    def _respawn_pool(self) -> ProcessPoolExecutor:
-        """Tear down a (possibly broken) pool and build a fresh one."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-        return self._get_pool()
 
     def close(self) -> None:
-        """Shut the worker pool / fabric backends down (idempotent).
-
-        Cancels queued futures so an ``__exit__`` during pending work
-        (e.g. after a shard failure propagated) returns promptly
-        instead of draining the backlog.
-        """
-        if self._pool is not None:
-            self._pool.shutdown(cancel_futures=True)
-            self._pool = None
-        close_fabric = getattr(self._supervisor, "close", None)
-        if close_fabric is not None:
-            close_fabric()
+        """Shut the supervisor's worker backends down (idempotent)."""
+        self._supervisor.close()
 
     def __enter__(self) -> "MonteCarloEngine":
         return self
@@ -325,9 +279,9 @@ class MonteCarloEngine:
         Escape hatch for task shapes the congestion API does not cover
         (e.g. Table III's DMM transposes).  ``func`` must be a
         module-level callable and its results picklable; items are
-        dispatched to the pool when ``workers > 1`` and results return
-        in item order, so output is worker-count-independent as long as
-        ``func`` itself is deterministic given its rng.  Not cached:
+        dispatched to the workers and results return in item order, so
+        output is worker-count-independent as long as ``func`` itself
+        is deterministic given its rng.  Not cached:
         arbitrary callables have no stable cache identity.
         """
         seqs = spawn_seed_sequences(seed, len(items))

@@ -4,9 +4,10 @@ Every builtin :class:`~repro.resilience.faults.FaultPlan` is driven
 through the full engine at workers 1, 2 and 4, and the recovered
 :class:`CongestionStats` must equal the fault-free baseline *bit for
 bit* — the engine's determinism contract doubling as its recovery
-contract.  Retry accounting must also be worker-count-independent
-(``pool_respawns``/``degraded_runs`` are infrastructure events that
-only exist when a pool does, so they are asserted separately).
+contract.  Retry accounting must also be worker-count-independent,
+except for ``"worker-died"`` retries: worker deaths (and
+``degraded_runs``) are infrastructure events that depend on which
+workers exist, so they are asserted separately.
 """
 
 from __future__ import annotations
@@ -69,7 +70,11 @@ def test_builtin_plan_recovers_bit_identically(plan_name, baseline, tmp_path):
         assert stats == baseline, (
             f"plan {plan_name!r} at workers={workers} diverged from baseline"
         )
-        retry_counts[workers] = collector.retry_counts
+        retry_counts[workers] = {
+            reason: n
+            for reason, n in collector.retry_counts.items()
+            if reason != "worker-died"
+        }
         assert collector.degraded_runs == 0
     assert retry_counts[1] == retry_counts[2] == retry_counts[4], (
         f"plan {plan_name!r}: retry accounting depends on worker count: "
@@ -92,32 +97,38 @@ def test_chaos_cache_contents_worker_count_independent(plan_name, tmp_path):
     assert entries[1] == entries[2] == entries[4]
 
 
+def deaths(collector) -> int:
+    return sum(w.deaths for w in collector.fabric_workers.values())
+
+
 def test_broken_pool_respawns_only_with_a_pool(baseline):
+    """A broken pool kills only the worker it belongs to; the shard is
+    retried on another worker.  An in-process worker has no pool."""
     plan = builtin_fault_plan("broken-pool")
     _, serial_collector, _ = run_with_plan(plan, workers=1)
-    assert serial_collector.pool_respawns == 0  # no pool to break
+    assert deaths(serial_collector) == 0  # no pool to break
+    assert serial_collector.retry_counts == {}
     stats, pooled_collector, _ = run_with_plan(plan, workers=2)
     assert stats == baseline
-    assert pooled_collector.pool_respawns == 1
+    assert deaths(pooled_collector) == 1
+    assert pooled_collector.retry_counts == {"worker-died": 1}
 
 
 def test_repeated_pool_breaks_degrade_to_serial(baseline):
-    """Past the respawn budget the run finishes in-process — and still
-    matches the baseline bit for bit."""
+    """Once every worker is dead the run finishes on the in-process
+    fallback — and still matches the baseline bit for bit."""
     plan = FaultPlan(
         name="pool-breaker",
         shard_faults=(ShardFault(kind="break_pool", shard=0, attempts=(0, 1, 2)),),
     )
-    stats, collector, _ = run_with_plan(
-        plan, workers=2, policy=chaos_policy(max_pool_respawns=1)
-    )
+    stats, collector, _ = run_with_plan(plan, workers=2)
     assert stats == baseline
-    assert collector.pool_respawns == 1
+    assert deaths(collector) == 2
     assert collector.degraded_runs == 1
-    # Serial mode has no pool: the same plan is a clean no-fault run.
+    # An in-process worker has no pool: the same plan is a clean run.
     stats, collector, _ = run_with_plan(plan, workers=1)
     assert stats == baseline
-    assert collector.pool_respawns == 0 and collector.degraded_runs == 0
+    assert deaths(collector) == 0 and collector.degraded_runs == 0
 
 
 @pytest.mark.parametrize("plan_name", ["torn-cache-write", "corrupt-cache-entry"])

@@ -69,3 +69,22 @@ def test_table2_cache_warm_output_matches_cold(tmp_path):
     assert cold_table == warm_table
     assert "hit" in warm  # the warm run actually used the cache
     assert "Engine run stats" in cold  # --stats wiring works end to end
+
+
+def test_chaos_reaches_the_default_engine(tmp_path):
+    """`--chaos kill-worker` without `--fabric` kills worker 1 of a
+    `--workers 2` run, and the tables still match a fault-free serial
+    run byte for byte."""
+    base = ["table2", "--trials", "64", "--widths", "16", "--no-cache"]
+    chaos = run_cli(
+        [*base, "--workers", "2", "--chaos", "kill-worker", "--stats"],
+        tmp_path / "a",
+    )
+    serial = run_cli([*base, "--workers", "1"], tmp_path / "b")
+    tables, stats = chaos.split("Engine run stats")
+    assert tables == serial
+    # Worker 1 dies on shard 1 of each of the 9 multi-shard tasks (a dead
+    # worker is out for the rest of its task); each death is one retry.
+    assert "resilience: 9 shard retries (9 worker-died)" in stats
+    worker1 = next(row for row in stats.splitlines() if row.startswith("1 "))
+    assert [cell.strip() for cell in worker1.split("|")][6] == "9"  # deaths

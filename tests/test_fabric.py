@@ -101,8 +101,8 @@ def test_backends_bit_identical(backend, baseline):
 
 
 def test_fabric_matches_shard_supervisor_engine(baseline):
-    """A fabric engine and the classic pool engine agree bit for bit —
-    the fabric is a drop-in, not a different experiment."""
+    """An explicit fabric and the default ``--workers`` engine agree
+    bit for bit — the spec shapes execution, not the experiment."""
     with MonteCarloEngine(workers=2, cache=None) as engine:
         pooled = engine.matrix_congestion(**TASK)
     fabric, _ = run_fabric(None, workers=4)
@@ -172,6 +172,24 @@ def test_blackout_death_and_rejoin(baseline):
     assert target.shards > 0  # it works again after rejoining
 
 
+def test_timeout_is_measured_from_submission(baseline):
+    """Attempts completing on one tick are collected in worker order,
+    but each one's budget runs from its own submission: shard 1 (1.5 s)
+    times out although shard 0 (0.8 s) is collected first, and its late
+    result is never merged."""
+    plan = FaultPlan(
+        name="two-slow-shards",
+        shard_faults=(
+            ShardFault(kind="delay", shard=0, attempts=(0,), delay=0.8),
+            ShardFault(kind="delay", shard=1, attempts=(0,), delay=1.5),
+        ),
+    )
+    policy = RetryPolicy(timeout=1.0, sleep=lambda s: None)
+    stats, collector = run_fabric(plan, workers=2, backend="pool", policy=policy)
+    assert stats == baseline
+    assert collector.retry_counts == {"timeout": 1}
+
+
 # -- quarantine ------------------------------------------------------------
 
 
@@ -224,6 +242,7 @@ def test_all_workers_dead_degrades_to_inprocess_fallback(baseline):
     fallback = collector.fabric_workers[2]  # spec.workers == 2 -> id 2
     assert fallback.backend == "inproc-fallback"
     assert fallback.shards > 0
+    assert fallback.steals == 0  # the lone fallback owns every partition
 
 
 # -- coordinator kill + journal resume ------------------------------------

@@ -55,8 +55,6 @@ def test_policy_validation():
         RetryPolicy(max_retries=-1)
     with pytest.raises(ValueError):
         RetryPolicy(timeout=0.0)
-    with pytest.raises(ValueError):
-        RetryPolicy(max_pool_respawns=-1)
 
 
 def test_policy_wait_uses_injectable_sleep():
@@ -351,6 +349,28 @@ def test_supervisor_serial_simulated_timeout_counts_as_timeout():
     )
     assert supervisor.run(_double, [7], "unit") == [14]
     assert collector.retry_counts == {"timeout": 1}
+
+
+def _double_non_negative(payload):
+    if payload < 0:
+        raise ValueError(f"negative payload {payload}")
+    return payload * 2
+
+
+def test_supervisor_runs_cleanly_after_a_failed_task():
+    """A task that fails while another worker's call is still pending
+    must not leave that call behind for the next task to trip over."""
+    collector = RunStatsCollector()
+    supervisor = ShardSupervisor(
+        workers=2, policy=_fast_policy(max_retries=0), collector=collector
+    )
+    try:
+        with pytest.raises(ShardFailure):
+            supervisor.run(_double_non_negative, [-1, 1], "fails")
+        assert supervisor.run(_double_non_negative, [1, 2], "again") == [2, 4]
+        assert collector.retry_counts == {}
+    finally:
+        supervisor.close()
 
 
 def test_supervisor_empty_payloads():
