@@ -1,30 +1,19 @@
 """Batched DMM executor throughput vs the scalar per-trial loop.
 
-The committed ``BENCH_dmm.json`` at the repo root is regenerated by
-running this module as a script (or ``python -m repro bench-dmm --json
-BENCH_dmm.json``)::
-
-    PYTHONPATH=src python -m benchmarks.bench_dmm
-
-It records, per app at the issue's reference point (w=32, trials=100,
-RAP draws), the best-of-3 wall time and trials/sec of the scalar
-per-trial loop and of the batched executor, plus the speedup.  Every
+Runs ``bench-dmm``'s default comparison (baseline ``scalar``, candidate
+``batched``; see :mod:`repro.sim.bench`) on each default app at w=32
+and a reduced trial count, so the full harness stays fast.  Every
 measurement first verifies the two executors return identical
-per-trial completion times — see :mod:`repro.sim.bench`.
+per-trial completion times.
 
-Under pytest-benchmark the same measurement runs at a reduced trial
-count so the full harness stays fast; the CI ``perf-smoke`` job
-enforces a conservative >= 3x floor through the CLI gate instead
-(``python -m repro bench-dmm ... --min-speedup 3``), far enough below
-the recorded ~10-13x to be robust on noisy shared runners.
+The committed speed contract is the CI ``perf-smoke`` floor, enforced
+through the CLI gate (``python -m repro bench-dmm ... --min-speedup
+3``) rather than here.
 """
-
-import sys
 
 import pytest
 
-from repro.sim.bench import DEFAULT_BENCH_APPS, bench_app
-from repro.sim.bench import main as bench_main
+from repro.sim.bench import DEFAULT_BENCH_APPS, bench_app, select_mode
 
 from .conftest import BENCH_SEED
 
@@ -34,18 +23,15 @@ def test_bench_dmm_speedup(benchmark, app):
     """Batched beats scalar on every target app (reduced size)."""
 
     def measure():
-        return bench_app(app, w=32, trials=30, seed=BENCH_SEED, repeats=1)
+        (row,) = bench_app(app, select_mode(), w=32, trials=30, seed=BENCH_SEED, repeats=1)
+        return row
 
     result = benchmark.pedantic(measure, rounds=1, iterations=1)
     print(
-        f"\n{app}: scalar {result.scalar_trials_per_s:.0f} trials/s, "
-        f"batched {result.batched_trials_per_s:.0f} trials/s "
+        f"\n{app}: scalar {result.baseline_trials_per_s:.0f} trials/s, "
+        f"batched {result.candidate_trials_per_s:.0f} trials/s "
         f"({result.speedup:.1f}x)"
     )
     # bench_app already asserted batched == scalar exactly; here we only
     # gate on a direction, not a magnitude — CI timing boxes are noisy.
     assert result.speedup > 1.0
-
-
-if __name__ == "__main__":
-    sys.exit(bench_main(["--json", "BENCH_dmm.json", *sys.argv[1:]]))

@@ -29,6 +29,7 @@ from typing import Sequence
 
 from repro.adversary.search import BUDGET_NAMES, SearchBudget, _BUDGETS
 from repro.core.mappings import MAPPING_NAMES
+from repro.util.validation import int_at_least
 
 __all__ = ["build_parser", "main"]
 
@@ -54,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="mapping families to attack (default: all three)",
     )
     parser.add_argument(
-        "--seed", type=int, default=2014, help="sweep seed (default 2014)"
+        "--seed", type=int_at_least(0), default=2014, help="sweep seed (default 2014)"
     )
     parser.add_argument(
         "--budget",

@@ -84,6 +84,7 @@ ANALYZE_KERNELS = ("crsw", "srcw", "drdw")
 
 
 _width = int_at_least(1)
+_seed = int_at_least(0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -114,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     prove.add_argument("--w", type=_width, default=32, help="width (default 32)")
     prove.add_argument(
         "--seed",
-        type=int,
+        type=_seed,
         default=2014,
         help="seed for randomized mappings/patterns (default 2014)",
     )
@@ -169,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--w", type=_width, default=32, help="width (default 32)")
     analyze.add_argument(
         "--seed",
-        type=int,
+        type=_seed,
         default=2014,
         help="seed for the randomized candidate layouts (default 2014)",
     )
@@ -206,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     certify.add_argument(
         "--seed",
-        type=int,
+        type=_seed,
         default=2014,
         help="seed for randomized mappings and data-dependent skeletons "
         "(default 2014)",
@@ -251,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     plan.add_argument(
         "--seed",
-        type=int,
+        type=_seed,
         default=2014,
         help="seed for data-dependent skeletons (default 2014)",
     )

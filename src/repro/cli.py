@@ -24,15 +24,13 @@ Static-analysis subcommands (dispatched to
 
 Performance subcommand:
 
-* ``bench-dmm`` — scalar-vs-batched DMM executor throughput on the
-  builtin apps, verified identical before timing
-  (``python -m repro bench-dmm --trials 100 --json BENCH_dmm.json``);
-  ``--plan`` benchmarks the plan-compiled executor against the plain
-  batched path instead, ``--plan --backend numba`` the numba execution
-  backend against the numpy reference, and
-  ``--plan --compare-backends`` every registered backend side by side
-  (``python -m repro bench-dmm --plan --compare-backends --w 32 256
-  --json BENCH_backends.json``).
+* ``bench-dmm`` — DMM executor throughput on the builtin apps: a
+  baseline executor against candidates, verified identical before
+  timing (``python -m repro bench-dmm --trials 100 --json out.json``).
+  The default compares scalar with batched, ``--plan`` batched with
+  the plan-compiled executor, ``--plan --backend numba`` the numpy plan
+  path with the numba backend, and ``--plan --compare-backends`` the
+  numpy plan path with every other registered backend.
 
 Adversarial subcommand:
 
@@ -97,10 +95,11 @@ __all__ = ["main", "build_parser", "run_experiment", "ANALYSIS_COMMANDS"]
 ANALYSIS_COMMANDS = ("prove", "lint", "analyze", "certify", "plan")
 
 
-#: argparse types: ``--workers`` (0 = all cores), ``--trials`` and the widths.
+#: argparse types: ``--workers`` (0 = all cores), ``--trials``, the widths and ``--seed``.
 _workers_arg = int_at_least(0, " (0 = all cores)")
 _trials_arg = int_at_least(1)
 _width_arg = int_at_least(1)
+_seed_arg = int_at_least(0)
 
 
 def _fabric_arg(value: str) -> "FabricSpec":
@@ -503,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="Monte-Carlo trials for randomized cells (default 1000)",
     )
     parser.add_argument(
-        "--seed", type=int, default=2014, help="RNG seed (default 2014)"
+        "--seed", type=_seed_arg, default=2014, help="RNG seed (default 2014)"
     )
     parser.add_argument(
         "--widths",
@@ -765,7 +764,7 @@ def _sweep_all_main(argv: Sequence[str]) -> int:
         ),
     )
     parser.add_argument("--trials", type=_trials_arg, default=1000)
-    parser.add_argument("--seed", type=int, default=2014)
+    parser.add_argument("--seed", type=_seed_arg, default=2014)
     parser.add_argument(
         "--widths", type=_width_arg, nargs="+", default=[16, 32, 64, 128, 256]
     )

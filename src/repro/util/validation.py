@@ -8,10 +8,12 @@ error messages uniform and the call sites terse.
 from __future__ import annotations
 
 import argparse
+import math
 from typing import Callable
 
 __all__ = [
     "int_at_least",
+    "positive_float",
     "check_positive_int",
     "check_nonnegative_int",
     "check_power_of_two",
@@ -41,6 +43,21 @@ def int_at_least(minimum: int, hint: str = "") -> Callable[[str], int]:
         return number
 
     return parse
+
+
+def positive_float(value: str) -> float:
+    """An argparse ``type=`` accepting finite floats > 0 (not nan/inf)."""
+    try:
+        number = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number, got {value!r}"
+        ) from None
+    if not (math.isfinite(number) and number > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {value}"
+        )
+    return number
 
 
 def check_positive_int(value: int, name: str) -> int:

@@ -459,14 +459,16 @@ class TestBackendBenchCLI:
         assert main(argv) == 0
         payload = json.loads(out.read_text())
         assert payload["mode"] == "plan-backend"
-        assert payload["backend"] == "numba"
-        entry = payload["apps"]["fft"]
-        assert entry["requested_backend"] == "numba"
+        (entry,) = payload["rows"]
+        assert entry["app"] == "fft"
+        assert (entry["baseline"], entry["candidate"]) == ("plan:numpy", "plan:numba")
         numba_here = get_backend("numba").available()
         assert entry["available"] == numba_here
+        assert entry["candidate_s"] is not None  # a fallback is still timed
         err = capsys.readouterr().err
         if not numba_here:
             assert "falling back to numpy" in err
+            assert "gate skipped" in err
 
     def test_compare_backends_smoke(self, capsys, tmp_path):
         import json
@@ -481,14 +483,18 @@ class TestBackendBenchCLI:
         assert main(argv) == 0
         payload = json.loads(out.read_text())
         assert payload["mode"] == "backend-compare"
-        backends_seen = {r["backend"] for r in payload["rows"]}
+        rows = payload["rows"]
+        assert {r["baseline"] for r in rows} == {"plan:numpy"}
+        backends_seen = {"numpy"} | {r["candidate"].split(":")[1] for r in rows}
         assert backends_seen == set(backend_names())
-        numpy_rows = [r for r in payload["rows"] if r["backend"] == "numpy"]
-        assert all(r["available"] for r in numpy_rows)
-        for row in payload["rows"]:
+        assert all(r["baseline_s"] is not None for r in rows)
+        for row in rows:
+            name = row["candidate"].split(":")[1]
+            assert row["available"] == get_backend(name).available()
             if not row["available"]:
-                assert row["plan_s"] is None and row["note"]
-        assert "backend" in capsys.readouterr().out
+                assert row["candidate_s"] is None and row["speedup"] is None
+                assert row["note"]
+        assert "plan:numpy" in capsys.readouterr().out
 
     def test_multi_width_results_keyed_by_width(self, tmp_path):
         import json
@@ -502,5 +508,7 @@ class TestBackendBenchCLI:
         ]
         assert main(argv) == 0
         payload = json.loads(out.read_text())
-        assert payload["w"] == [8, 16]
-        assert set(payload["apps"]) == {"gather@w=8", "gather@w=16"}
+        assert payload["widths"] == [8, 16]
+        assert [(r["app"], r["w"]) for r in payload["rows"]] == [
+            ("gather", 8), ("gather", 16),
+        ]

@@ -392,10 +392,12 @@ class TestBenchDmmCLI:
         )
         assert code == 0
         payload = json.loads(out.read_text())
-        assert "transpose_drdw" in payload["apps"]
-        entry = payload["apps"]["transpose_drdw"]
+        assert payload["mode"] == "batched"
+        (entry,) = payload["rows"]
+        assert entry["app"] == "transpose_drdw"
+        assert (entry["baseline"], entry["candidate"]) == ("scalar", "batched")
         assert entry["speedup"] == pytest.approx(
-            entry["scalar_s"] / entry["batched_s"], rel=0.01
+            entry["baseline_s"] / entry["candidate_s"], rel=0.01
         )
         assert "speedup" in capsys.readouterr().out
 
@@ -418,6 +420,13 @@ class TestBenchDmmCLI:
             (["--w", "16", "-1"], "argument --w:"),
             (["--w", "12", "--apps", "fft"], "'fft'"),
             (["--w", "16", "12", "--apps", "stencil_row", "sort"], "'sort'"),
+            (["--min-speedup", "nan"], "argument --min-speedup:"),
+            (["--min-speedup", "inf"], "argument --min-speedup:"),
+            (["--min-speedup", "0"], "argument --min-speedup:"),
+            (["--min-speedup", "-2"], "argument --min-speedup:"),
+            (["--min-speedup", "fast"], "argument --min-speedup:"),
+            (["--repeats", "0"], "argument --repeats:"),
+            (["--latency", "0"], "argument --latency:"),
         ],
     )
     def test_bad_width_is_a_usage_error(self, argv, needle, capsys):
@@ -435,16 +444,16 @@ class TestBenchDmmCLI:
 
 
 class TestBenchResultEdges:
-    """Zero-duration and invalid-input behavior of BenchResult rates."""
+    """Zero-duration and invalid-input behavior of BenchRow rates."""
 
     @staticmethod
     def _result(scalar_s, batched_s, trials=4):
-        from repro.sim.bench import BenchResult
+        from repro.sim.bench import BenchRow
 
-        return BenchResult(
-            app="transpose_drdw", w=8, trials=trials, mapping="RAP",
-            latency=1, steps=2, repeats=1,
-            scalar_s=scalar_s, batched_s=batched_s,
+        return BenchRow(
+            app="transpose_drdw", w=8, steps=2, trials=trials,
+            baseline="scalar", candidate="batched",
+            baseline_s=scalar_s, candidate_s=batched_s,
         )
 
     def test_zero_batched_duration_saturates_to_inf(self):
@@ -452,21 +461,21 @@ class TestBenchResultEdges:
 
         r = self._result(scalar_s=0.5, batched_s=0.0)
         assert r.speedup == math.inf
-        assert r.batched_trials_per_s == math.inf
-        assert r.scalar_trials_per_s == pytest.approx(8.0)
+        assert r.candidate_trials_per_s == math.inf
+        assert r.baseline_trials_per_s == pytest.approx(8.0)
 
     def test_both_zero_durations_mean_no_measured_difference(self):
         import math
 
         r = self._result(scalar_s=0.0, batched_s=0.0)
         assert r.speedup == 1.0
-        assert r.scalar_trials_per_s == math.inf
-        assert r.batched_trials_per_s == math.inf
+        assert r.baseline_trials_per_s == math.inf
+        assert r.candidate_trials_per_s == math.inf
 
     def test_zero_work_in_zero_time_is_zero_rate(self):
         r = self._result(scalar_s=0.0, batched_s=0.0, trials=0)
-        assert r.scalar_trials_per_s == 0.0
-        assert r.batched_trials_per_s == 0.0
+        assert r.baseline_trials_per_s == 0.0
+        assert r.candidate_trials_per_s == 0.0
 
     def test_as_dict_stays_strict_json(self):
         import json
@@ -474,8 +483,8 @@ class TestBenchResultEdges:
         r = self._result(scalar_s=0.5, batched_s=0.0)
         payload = r.as_dict()
         assert payload["speedup"] is None
-        assert payload["batched_trials_per_s"] is None
-        assert payload["scalar_trials_per_s"] == pytest.approx(8.0)
+        assert payload["candidate_trials_per_s"] is None
+        assert payload["baseline_trials_per_s"] == pytest.approx(8.0)
         json.dumps(payload, allow_nan=False)  # no bare inf/nan leaks
 
     def test_ordinary_durations_unchanged(self):
@@ -493,3 +502,93 @@ class TestBenchResultEdges:
     def test_negative_trials_rejected(self):
         with pytest.raises(ValueError, match="trials"):
             self._result(scalar_s=0.5, batched_s=0.5, trials=-1)
+
+    def test_untimed_candidate_has_no_speedup_or_rate(self):
+        import json
+
+        r = self._result(scalar_s=0.5, batched_s=None)
+        assert r.speedup is None and r.candidate_trials_per_s is None
+        payload = r.as_dict()
+        assert payload["candidate_s"] is None and payload["speedup"] is None
+        json.dumps(payload, allow_nan=False)
+
+
+class TestBenchLoop:
+    """The one timing loop behind every ``bench-dmm`` mode."""
+
+    @staticmethod
+    def _mode(baseline, *candidates):
+        from repro.sim.bench import Mode
+
+        return Mode("stub", baseline, candidates, ("transpose_drdw",), True)
+
+    @staticmethod
+    def _stub(name, clock, cost, times=(3, 3, 3, 3)):
+        """A path that records its calls and advances the fake clock by
+        ``cost[0]`` on its first call (a one-time cost), ``cost[1]`` after."""
+        import numpy as np
+
+        from repro.sim.bench import Path
+
+        calls = []
+
+        def run(case):
+            calls.append(case)
+            clock[0] += cost[0] if len(calls) == 1 else cost[1]
+            return np.array(times), None
+
+        return Path(name, run), calls
+
+    def test_first_call_is_an_untimed_warm_up(self, monkeypatch):
+        from repro.sim import bench
+
+        clock = [0.0]
+        monkeypatch.setattr(bench, "perf_counter", lambda: clock[0])
+        base, base_calls = self._stub("base", clock, (100.0, 2.0))
+        cand, cand_calls = self._stub("cand", clock, (100.0, 1.0))
+        (row,) = bench.bench_app(
+            "transpose_drdw", self._mode(base, cand), w=8, trials=4, repeats=3
+        )
+        # one warm-up plus three timed calls each; the warm-up's one-time
+        # cost never reaches the reported best-of time.
+        assert len(base_calls) == len(cand_calls) == 4
+        assert (row.baseline_s, row.candidate_s, row.speedup) == (2.0, 1.0, 2.0)
+        assert all(c.shifts.shape == (4, 8) for c in base_calls + cand_calls)
+
+    def test_disagreement_is_an_error(self, monkeypatch):
+        from repro.sim import bench
+
+        clock = [0.0]
+        base, _ = self._stub("base", clock, (1.0, 1.0))
+        cand, _ = self._stub("cand", clock, (1.0, 1.0), times=(3, 3, 3, 4))
+        with pytest.raises(AssertionError, match="cand disagrees with base"):
+            bench.bench_app("transpose_drdw", self._mode(base, cand), w=8, trials=4)
+
+    def test_unrunnable_candidate_is_reported_not_timed(self):
+        from repro.sim import bench
+
+        clock = [0.0]
+        base, _ = self._stub("base", clock, (1.0, 1.0))
+        missing = bench.Path("plan:missing", None, available=False, note="not here")
+        (row,) = bench.bench_app(
+            "transpose_drdw", self._mode(base, missing), w=8, trials=4, repeats=1
+        )
+        assert row.candidate_s is None and not row.available
+        assert row.note == "not here"
+
+    def test_gate_skips_unavailable_rows_and_fails_slow_ones(self, capsys):
+        from repro.sim.bench import BenchRow, gate
+
+        def row(candidate_s, available=True):
+            return BenchRow(
+                "fft", 8, 52, 10, "plan:numpy", "plan:numba", 1.0, candidate_s,
+                available=available, note=None if available else "fell back",
+            )
+
+        assert gate([row(0.25), row(None, False), row(2.0, False)], 2.0) == 0
+        err = capsys.readouterr().err
+        assert "gate skipped for 2 row(s)" in err and "FAIL" not in err
+        assert gate([row(0.25), row(0.8), row(None, False)], 2.0) == 1
+        err = capsys.readouterr().err
+        (fail,) = [ln for ln in err.splitlines() if ln.startswith("FAIL")]
+        assert "plan:numba speedup 1.2x < required 2.0x" in fail

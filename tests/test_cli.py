@@ -130,6 +130,19 @@ class TestMain:
         _assert_usage_error(argv, flag, capsys)
 
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "table2", "table3", "table4", "apps", "sweep-all", "adversary",
+            "prove", "analyze", "certify", "plan", "bench-dmm",
+        ],
+    )
+    def test_bad_seed_is_a_usage_error(self, command, capsys):
+        """A negative ``--seed`` exits 2 at the parser, not with numpy's
+        "expected non-negative integer" traceback from inside the run."""
+        _assert_usage_error([command, "--seed", "-1"], "--seed", capsys)
+
+
 def _assert_usage_error(argv, flag, capsys):
     """``argv`` exits 2 with one argparse error line naming ``flag``."""
     with pytest.raises(SystemExit) as exc:

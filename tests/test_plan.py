@@ -361,13 +361,14 @@ class TestBenchPlanCLI:
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["mode"] == "plan"
-        entry = payload["apps"]["cf_permute"]
-        assert entry["mode"] == "plan"
+        (entry,) = payload["rows"]
+        assert entry["app"] == "cf_permute"
+        assert (entry["baseline"], entry["candidate"]) == ("batched", "plan:numpy")
         assert entry["stage_coverage"] == 1.0
         assert entry["speedup"] == pytest.approx(
-            entry["batched_s"] / entry["plan_s"], rel=0.01
+            entry["baseline_s"] / entry["candidate_s"], rel=0.01
         )
-        assert "plan ms" in capsys.readouterr().out
+        assert "plan:numpy" in capsys.readouterr().out
 
     def test_floor_failure_exits_nonzero(self, capsys):
         from repro.cli import main
