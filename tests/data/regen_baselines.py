@@ -8,7 +8,7 @@ or, to verify without writing (CI / pre-commit; exits 1 on drift):
 
     PYTHONPATH=src python tests/data/regen_baselines.py --check
 
-Four artifacts live next to this script:
+Five artifacts live next to this script:
 
 ``certify_baseline.json``
     The exact stdout of ``python -m repro certify --mapping ALL
@@ -35,6 +35,15 @@ Four artifacts live next to this script:
     ``congestion_batch`` and ``bank_loads_batch`` on a fixed corpus
     (inactive lanes and rows, k != w, several blocks, addresses beyond
     int32, negative addresses, non-power-of-two w).
+
+``app_sweep_baseline.json``
+    Golden per-trial ``time_units`` of
+    :func:`~repro.sim.experiments.app_time_sweep` (fft, sort,
+    stencil_row, scan, transpose_drdw, cf_permute under RAW/RAS/RAP at
+    w=16 and 32, 24 trials, seed=2014; ``workers=1`` and ``workers=2``
+    must agree), plus the same cells run through
+    :meth:`~repro.gpu.kernel.SharedMemoryKernel.run_plan` on one fixed
+    draw each (which must agree with ``run_batch`` on that draw).
 
 ``tests/test_baselines.py`` asserts the checked-in files are
 byte-identical to what this script writes, so the baselines can never
@@ -266,7 +275,77 @@ def tables_baseline_text() -> str:
     return json.dumps(payload, indent=1) + "\n"
 
 
+#: apps, widths, trial count and seed of the golden app-sweep times.
+SWEEP_APPS = ("fft", "sort", "stencil_row", "scan", "transpose_drdw", "cf_permute")
+SWEEP_WIDTHS = (16, 32)
+SWEEP_TRIALS = 24
+SWEEP_SEED = 2014
+
+
+def app_sweep_baseline_text() -> str:
+    """Golden app-sweep and plan-path times, as one JSON document.
+
+    ``sweep`` holds :func:`~repro.sim.experiments.app_time_sweep`'s
+    per-trial times per ``app/mapping/w`` cell; the sweep runs at
+    ``workers=1`` and ``workers=2`` and must agree.  ``plan`` holds each
+    cell's times under :meth:`~repro.gpu.kernel.SharedMemoryKernel.run_plan`
+    for one fixed draw, which must agree with ``run_batch``.
+    """
+    import numpy as np
+
+    from repro.analysis.plan import compile_plan
+    from repro.apps import build_app_program
+    from repro.core.mappings import RAWMapping, sample_shift_batch
+    from repro.sim.engine import MonteCarloEngine
+    from repro.sim.experiments import app_time_sweep
+    from repro.util.rng import as_generator
+
+    sweep: dict[str, list[int]] = {}
+    plan: dict[str, list[int]] = {}
+    for w in SWEEP_WIDTHS:
+        runs = []
+        for workers in (1, 2):
+            with MonteCarloEngine(workers=workers, cache=False) as engine:
+                runs.append(
+                    app_time_sweep(
+                        SWEEP_APPS, w=w, trials=SWEEP_TRIALS,
+                        seed=SWEEP_SEED, engine=engine,
+                    )
+                )
+        serial, parallel = runs
+        for (app, mapping), result in serial.items():
+            if not np.array_equal(result.time_units, parallel[app, mapping].time_units):
+                raise RuntimeError(f"{app}/{mapping}/w{w}: workers=2 != workers=1")
+            sweep[f"{app}/{mapping}/w{w}"] = result.time_units.tolist()
+        for app in SWEEP_APPS:
+            kernel = build_app_program(app, RAWMapping(w), seed=SWEEP_SEED)
+            for mapping in ("RAW", "RAS", "RAP"):
+                shifts = sample_shift_batch(
+                    mapping, w, SWEEP_TRIALS, as_generator(SWEEP_SEED)
+                )
+                planned = kernel.run_plan(
+                    shifts, compile_plan(kernel, mapping)
+                ).time_units
+                if not np.array_equal(planned, kernel.run_batch(shifts).time_units):
+                    raise RuntimeError(f"{app}/{mapping}/w{w}: run_plan != run_batch")
+                plan[f"{app}/{mapping}/w{w}"] = planned.tolist()
+
+    def block(records: dict) -> str:
+        return ",\n".join(
+            f"  {json.dumps(key)}: {json.dumps(value)}"
+            for key, value in records.items()
+        )
+
+    # One cell per line keeps the artifact reviewable in a diff.
+    return (
+        f'{{\n "seed": {SWEEP_SEED},\n "trials": {SWEEP_TRIALS},\n'
+        f' "sweep": {{\n{block(sweep)}\n }},\n'
+        f' "plan": {{\n{block(plan)}\n }}\n}}\n'
+    )
+
+
 BASELINES = {
+    "app_sweep_baseline.json": app_sweep_baseline_text,
     "apps_baseline.json": apps_baseline_text,
     "certify_baseline.json": certify_baseline_text,
     "ir_baseline.json": ir_baseline_text,

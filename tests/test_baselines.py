@@ -3,7 +3,8 @@
 ``tests/data/regen_baselines.py`` is the single source of truth for
 ``certify_baseline.json`` (the CI certify diff artifact),
 ``ir_baseline.json`` (golden IR dumps), ``apps_baseline.json``
-(golden ``run_*`` app outcomes) and ``tables_baseline.json`` (golden
+(golden ``run_*`` app outcomes), ``app_sweep_baseline.json`` (golden
+``app_time_sweep`` and ``run_plan`` per-trial times) and ``tables_baseline.json`` (golden
 Table II/IV output, congestion pmfs and kernel digests): these tests assert the
 committed files are byte-identical to a fresh regeneration, so a
 baseline can never be hand-edited out of sync with the analysis code.
@@ -40,6 +41,7 @@ def test_every_baseline_has_a_regenerator(regen):
 @pytest.mark.parametrize(
     "name",
     [
+        "app_sweep_baseline.json",
         "apps_baseline.json",
         "certify_baseline.json",
         "ir_baseline.json",
