@@ -38,6 +38,8 @@ import numpy as np
 from repro.core.mappings import MAPPING_NAMES, sample_shift_batch
 from repro.core.theory import log_over_loglog
 from repro.dmm.batched import warp_congestion_block
+from repro.dmm.warp import duplicate_lanes
+from repro.gpu.kernel import check_shifts
 from repro.util.rng import (
     SeedLike,
     as_generator,
@@ -144,24 +146,6 @@ def assemble_pattern(
     return ii, jj
 
 
-def _duplicate_mask(idx: np.ndarray) -> np.ndarray:
-    """Lanes holding a repeated flat index within their row.
-
-    ``idx`` is ``(rows, w)``; a lane is marked when an earlier lane of
-    the same row holds the same ``(i, j)`` — those requests CRCW-merge
-    and must not be counted (mirrors the static merge of
-    ``SharedMemoryKernel.program_batch``).
-    """
-    order = np.argsort(idx, axis=1, kind="stable")
-    r = np.arange(idx.shape[0])[:, None]
-    srt = idx[r, order]
-    dup_sorted = np.zeros_like(srt, dtype=bool)
-    dup_sorted[:, 1:] = srt[:, 1:] == srt[:, :-1]
-    dup = np.zeros_like(dup_sorted)
-    dup[r, order] = dup_sorted
-    return dup
-
-
 def _check_grids(ii: np.ndarray, jj: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
     ii = np.ascontiguousarray(ii, dtype=np.int64)
     jj = np.ascontiguousarray(jj, dtype=np.int64)
@@ -187,15 +171,16 @@ def pattern_congestions(
     :func:`~repro.dmm.batched.warp_congestion_block` — the executor's
     own congestion kernel — in trial chunks of bounded size, so a
     ``w = 1024`` evaluation never stages the full trial batch.
+    ``shifts`` is checked by :func:`~repro.gpu.kernel.check_shifts`:
+    non-integer draws raise :class:`TypeError`; a wrong shape, zero
+    trials or a shift outside ``[0, w)`` raise :class:`ValueError`.
     """
     check_positive_int(w, "w")
     ii, jj = _check_grids(ii, jj, w)
-    shifts = np.ascontiguousarray(shifts, dtype=np.int64)
-    if shifts.ndim != 2 or shifts.shape[1] != w:
-        raise ValueError(f"shifts must be (trials, {w}), got {shifts.shape}")
+    shifts = check_shifts(shifts, w)
     n_warps = ii.shape[0]
     trials = shifts.shape[0]
-    dup = _duplicate_mask(ii * w + jj)
+    dup = duplicate_lanes(ii * w + jj)
     sentinel = w + np.arange(w, dtype=np.int64)
     chunk = max(1, _CHUNK_ELEMENTS // max(1, n_warps * w))
     out = np.empty((trials, n_warps), dtype=np.int64)
@@ -220,7 +205,7 @@ def _warp_scores(
     rows_batch: np.ndarray, cols_batch: np.ndarray, shifts: np.ndarray, w: int
 ) -> np.ndarray:
     """Mean-over-trials congestion of ``C`` single-warp variants, shape ``(C,)``."""
-    dup = _duplicate_mask(rows_batch * w + cols_batch)
+    dup = duplicate_lanes(rows_batch * w + cols_batch)
     banks = (cols_batch[None, :, :] + shifts[:, rows_batch]) % w
     sentinel = w + np.arange(w, dtype=np.int64)
     keys = np.where(dup[None, :, :], sentinel[None, None, :], banks)

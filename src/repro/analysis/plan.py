@@ -75,6 +75,7 @@ from repro.analysis.absint import (
 )
 from repro.core.congestion import congestion_batch
 from repro.dmm.trace import INACTIVE
+from repro.dmm.warp import warp_classes
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dmm.backends import PlanBackend, Resolution, StagedPlan
@@ -302,34 +303,107 @@ def check_family_shifts(family: str, shifts: np.ndarray, w: int) -> None:
             )
 
 
-def _warp_classes(
-    step: "KernelStep", w: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-warp (any_active, row_local, column_local) of one kernel step."""
-    iif = step.ii.ravel()
-    jjf = step.jj.ravel()
-    n_warps = iif.size // w
-    act = (
-        np.ones((n_warps, w), dtype=bool)
-        if step.mask is None
-        else step.mask.ravel().reshape(n_warps, w)
-    )
-    any_act = act.any(axis=1)
-    first = act.argmax(axis=1)
-    rows = np.arange(n_warps)
-    ii_w = iif.reshape(n_warps, w)
-    jj_w = jjf.reshape(n_warps, w)
-    row_local = (~act | (ii_w == ii_w[rows, first][:, None])).all(axis=1)
-    col_local = (~act | (jj_w == jj_w[rows, first][:, None])).all(axis=1)
-    return any_act, row_local, col_local
-
-
 def _raw_congestions(step: "KernelStep", base: int, w: int) -> np.ndarray:
     """Exact per-warp congestion under the zero-shift (RAW) member."""
     addr = base + (step.ii * w + step.jj).ravel()
     if step.mask is not None:
         addr = np.where(step.mask.ravel(), addr, INACTIVE)
     return congestion_batch(addr.reshape(-1, w), w, inactive=INACTIVE)
+
+
+def _step_verdict(
+    step: "KernelStep", base: int, family: str, w: int, index: int
+) -> dict:
+    """The :class:`StepPlan` fields fixed by a step's pool key.
+
+    Everything but ``step``, ``op``, ``register`` and ``table`` depends
+    only on the array base, the index grids and the mask, so one
+    verdict serves every step of an address table.
+    """
+    any_act, row_local, col_local = warp_classes(step.ii, step.jj, step.mask, w)
+    active_warps = int(any_act.sum())
+    resolved = False
+    method = METHOD_RESIDUAL
+    congestions: Optional[np.ndarray] = None
+    recipe: Optional[CosetRecipe] = None
+    if base % w != 0:
+        # A base that is not a whole number of bank periods skews
+        # the bank arithmetic; no symbolic rule applies.
+        static_warps = 0
+        argument = (
+            f"array base {base} is not a multiple of w={w}; "
+            "bank arithmetic is skewed — residual"
+        )
+    elif family == "RAW":
+        resolved = True
+        method = METHOD_DETERMINISTIC
+        congestions = _raw_congestions(step, base, w)
+        static_warps = active_warps
+        argument = (
+            "RAW is a singleton family (zero shifts): the exact "
+            "per-warp enumeration holds for every trial"
+        )
+    else:
+        static = any_act & row_local
+        if family == "RAP":
+            static = static | (any_act & col_local)
+        static_warps = int(static.sum())
+        if static_warps == active_warps:
+            resolved = True
+            method = METHOD_SYMBOLIC
+            congestions = any_act.astype(np.int64)
+            n_row = int((any_act & row_local).sum())
+            n_col = active_warps - n_row
+            parts = []
+            if n_row:
+                parts.append(
+                    f"{n_row} row-local warp(s): a per-row rotation "
+                    "maps the row bijectively onto the banks "
+                    "(congestion 1 for any shift draw)"
+                )
+            if n_col:
+                parts.append(
+                    f"{n_col} column-local warp(s): banks are "
+                    "col + shift[row] over distinct rows and every "
+                    "RAP draw is a permutation — injective, "
+                    "congestion 1 (Theorem 1)"
+                )
+            argument = "; ".join(parts) if parts else "no warp dispatches"
+        else:
+            abstract = abstract_step(step, w, index=index)
+            recipe = step_recipe(abstract)
+            if recipe is not None:
+                resolved = True
+                method = METHOD_ABSINT
+                static_warps = active_warps
+                bound, _ = step_bound(abstract, family)
+                ks = sorted({int(g.k) for g in recipe.groups})
+                argument = (
+                    f"{abstract.coset_warps} coset warp(s) "
+                    f"(k in {ks}): every touched row's columns form "
+                    "a full coset, so congestion is the exact "
+                    "residue-multiset closed form of the draw — "
+                    f"per-bank load <= {bound} for every {family} "
+                    "draw"
+                )
+            else:
+                dyn = active_warps - static_warps
+                argument = (
+                    f"{dyn}/{active_warps} warp(s) mix rows and "
+                    "columns with no coset structure: congestion "
+                    f"depends on the concrete {family} draw — "
+                    "residual (per-trial bank count)"
+                )
+    return {
+        "array": step.array,
+        "resolved": resolved,
+        "method": method,
+        "argument": argument,
+        "congestions": congestions,
+        "static_warps": static_warps,
+        "active_warps": active_warps,
+        "recipe": recipe,
+    }
 
 
 def compile_plan(
@@ -339,8 +413,9 @@ def compile_plan(
 
     Every step gets a draw-independence verdict (see the module
     docstring for the rule set); steps sharing an array and index grids
-    are pooled into one address table.  The kernel's own mapping
-    supplies only the array bases — exactly the contract of
+    are pooled into one address table, whose verdict is computed once
+    and shared by its members.  The kernel's own mapping supplies only
+    the array bases — exactly the contract of
     :meth:`~repro.gpu.kernel.SharedMemoryKernel.program_batch`.
     """
     if family not in PLAN_FAMILIES:
@@ -349,105 +424,21 @@ def compile_plan(
         )
     w = kernel.w
     plans: list[StepPlan] = []
-    pool: dict[tuple, int] = {}
+    pool: dict[tuple, tuple[int, dict]] = {}
     for idx, step in enumerate(kernel.steps):
-        base = kernel.bases[step.array]
         key = (
             step.array,
             step.ii.tobytes(),
             step.jj.tobytes(),
             None if step.mask is None else step.mask.tobytes(),
         )
-        table = pool.setdefault(key, len(pool))
-        any_act, row_local, col_local = _warp_classes(step, w)
-        active_warps = int(any_act.sum())
-
-        resolved = False
-        method = METHOD_RESIDUAL
-        congestions: Optional[np.ndarray] = None
-        recipe: Optional[CosetRecipe] = None
-        if base % w != 0:
-            # A base that is not a whole number of bank periods skews
-            # the bank arithmetic; no symbolic rule applies.
-            static_warps = 0
-            argument = (
-                f"array base {base} is not a multiple of w={w}; "
-                "bank arithmetic is skewed — residual"
-            )
-        elif family == "RAW":
-            resolved = True
-            method = METHOD_DETERMINISTIC
-            congestions = _raw_congestions(step, base, w)
-            static_warps = active_warps
-            argument = (
-                "RAW is a singleton family (zero shifts): the exact "
-                "per-warp enumeration holds for every trial"
-            )
-        else:
-            static = any_act & row_local
-            if family == "RAP":
-                static = static | (any_act & col_local)
-            static_warps = int(static.sum())
-            if static_warps == active_warps:
-                resolved = True
-                method = METHOD_SYMBOLIC
-                congestions = any_act.astype(np.int64)
-                n_row = int((any_act & row_local).sum())
-                n_col = active_warps - n_row
-                parts = []
-                if n_row:
-                    parts.append(
-                        f"{n_row} row-local warp(s): a per-row rotation "
-                        "maps the row bijectively onto the banks "
-                        "(congestion 1 for any shift draw)"
-                    )
-                if n_col:
-                    parts.append(
-                        f"{n_col} column-local warp(s): banks are "
-                        "col + shift[row] over distinct rows and every "
-                        "RAP draw is a permutation — injective, "
-                        "congestion 1 (Theorem 1)"
-                    )
-                argument = "; ".join(parts) if parts else "no warp dispatches"
-            else:
-                abstract = abstract_step(step, w, index=idx)
-                recipe = step_recipe(abstract)
-                if recipe is not None:
-                    resolved = True
-                    method = METHOD_ABSINT
-                    static_warps = active_warps
-                    bound, _ = step_bound(abstract, family)
-                    ks = sorted({int(g.k) for g in recipe.groups})
-                    argument = (
-                        f"{abstract.coset_warps} coset warp(s) "
-                        f"(k in {ks}): every touched row's columns form "
-                        "a full coset, so congestion is the exact "
-                        "residue-multiset closed form of the draw — "
-                        f"per-bank load <= {bound} for every {family} "
-                        "draw"
-                    )
-                else:
-                    dyn = active_warps - static_warps
-                    argument = (
-                        f"{dyn}/{active_warps} warp(s) mix rows and "
-                        "columns with no coset structure: congestion "
-                        f"depends on the concrete {family} draw — "
-                        "residual (per-trial bank count)"
-                    )
+        if key not in pool:
+            verdict = _step_verdict(step, kernel.bases[step.array], family, w, idx)
+            pool[key] = (len(pool), verdict)
+        table, verdict = pool[key]
         plans.append(
             StepPlan(
-                step=idx,
-                op=step.op,
-                array=step.array,
-                register=step.register,
-                resolved=resolved,
-                method=method,
-                argument=argument,
-                congestions=congestions,
-                static_warps=static_warps,
-                active_warps=active_warps,
-                table=table,
-                recipe=recipe,
+                step=idx, op=step.op, register=step.register, table=table, **verdict
             )
         )
     return CompiledPlan(

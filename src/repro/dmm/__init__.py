@@ -6,7 +6,6 @@ from repro.dmm.batched import (
     BatchedInstruction,
     BatchedInstructionTrace,
     BatchedProgram,
-    stack_programs,
 )
 from repro.dmm.event_sim import EventDrivenDMM, EventExecutionResult
 from repro.dmm.machine import (
@@ -35,7 +34,6 @@ __all__ = [
     "BatchedInstruction",
     "BatchedInstructionTrace",
     "BatchedProgram",
-    "stack_programs",
     "PipelinedMMU",
     "StageSchedule",
     "batch_completion_times",

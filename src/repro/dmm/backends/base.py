@@ -1,9 +1,10 @@
 """The ``PlanBackend`` protocol and the host instruction loop.
 
-A *backend* is an execution strategy for staged batched programs (the
-``(T, p)``-blocked :class:`~repro.dmm.batched.BatchedProgram` that
-:meth:`repro.gpu.kernel.SharedMemoryKernel.program_batch` produces,
-with or without a compiled plan's static verdicts).  Every backend
+A *backend* is an execution strategy for the one batched program form,
+the :class:`~repro.dmm.batched.BatchedProgram` that
+:meth:`repro.gpu.kernel.SharedMemoryKernel.program_batch` stages (with
+or without a compiled plan's static verdicts): ``(T, p)`` blocks of
+flat store indices with each trial's offset baked in.  Every backend
 implements the same two-phase contract:
 
 ``stage(machine, program) -> StagedPlan``
@@ -110,8 +111,9 @@ class NumpyBackend:
       dynamic-warp set — every plan-resolved step, and every step whose
       warps are all row-local or empty) settles its congestion matrix
       and completion time in closed form and only moves data;
-    * every other instruction counts congestion (planned matrix >
-      pre-staged bank keys > raw addresses) and runs the vectorized
+    * every other instruction counts congestion (the planned matrix
+      when the plan staged one, else static congestions plus the
+      dynamic warps' pre-staged bank keys) and runs the vectorized
       timing arithmetic.
 
     Subclasses override :meth:`_congestions` and :meth:`_move_data` to

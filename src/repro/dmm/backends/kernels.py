@@ -28,11 +28,14 @@ Semantics notes (the invariants the kernels must reproduce exactly):
   indices keeps the last occurrence; a forward loop over lanes stores
   in the same order and is therefore identical.
 
-Broadcast inputs are avoided on purpose: every kernel takes arrays
-with concrete (possibly strided, never zero-stride) layouts, with
-``*_row`` variants for per-``(p,)`` values and masks shared by all
-trials, because zero-stride broadcast views are outside the subset
-numba compiles reliably.
+The kernel set follows the one staged program form: indices are
+always flat store indices with each trial's offset baked in, and a
+step's mask is one ``(p,)`` row shared by every trial.  Broadcast
+inputs are avoided on purpose: every kernel takes arrays with concrete
+(possibly strided, never zero-stride) layouts, with ``*_row`` variants
+for ``(p,)`` values and masks shared by all trials, because
+zero-stride broadcast views are outside the subset numba compiles
+reliably.
 """
 
 from __future__ import annotations
@@ -74,18 +77,6 @@ def gather_flat(store: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
             out[t, k] = store[idx[t, k]]
 
 
-def gather_offset(
-    store: np.ndarray, addr: np.ndarray, stride: int, out: np.ndarray
-) -> None:
-    """Gather per-trial addresses with the trial offset applied here."""
-    trials = addr.shape[0]
-    p = addr.shape[1]
-    for t in range(trials):
-        base = t * stride
-        for k in range(p):
-            out[t, k] = store[addr[t, k] + base]
-
-
 def scatter_flat(store: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
     """CRCW scatter of per-trial values; duplicates last-lane-wins."""
     trials = idx.shape[0]
@@ -106,30 +97,6 @@ def scatter_flat_row(
             store[idx[t, k]] = values[k]
 
 
-def scatter_offset(
-    store: np.ndarray, addr: np.ndarray, stride: int, values: np.ndarray
-) -> None:
-    """Offset-applying variant of :func:`scatter_flat`."""
-    trials = addr.shape[0]
-    p = addr.shape[1]
-    for t in range(trials):
-        base = t * stride
-        for k in range(p):
-            store[addr[t, k] + base] = values[t, k]
-
-
-def scatter_offset_row(
-    store: np.ndarray, addr: np.ndarray, stride: int, values: np.ndarray
-) -> None:
-    """Offset-applying variant of :func:`scatter_flat_row`."""
-    trials = addr.shape[0]
-    p = addr.shape[1]
-    for t in range(trials):
-        base = t * stride
-        for k in range(p):
-            store[addr[t, k] + base] = values[k]
-
-
 def masked_assign_row(
     reg: np.ndarray, values: np.ndarray, mask: np.ndarray
 ) -> None:
@@ -142,28 +109,12 @@ def masked_assign_row(
                 reg[t, k] = values[t, k]
 
 
-def masked_assign_full(
-    reg: np.ndarray, values: np.ndarray, mask: np.ndarray
-) -> None:
-    """``reg[t, k] = values[t, k]`` where the ``(T, p)`` mask holds."""
-    trials = reg.shape[0]
-    p = reg.shape[1]
-    for t in range(trials):
-        for k in range(p):
-            if mask[t, k]:
-                reg[t, k] = values[t, k]
-
-
 KERNEL_NAMES = (
     "hist_congestion",
     "gather_flat",
-    "gather_offset",
     "scatter_flat",
     "scatter_flat_row",
-    "scatter_offset",
-    "scatter_offset_row",
     "masked_assign_row",
-    "masked_assign_full",
 )
 
 #: the uncompiled kernels, by name (the bare-environment fallback and

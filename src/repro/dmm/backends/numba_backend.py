@@ -8,9 +8,10 @@ merge.  This backend swaps each for a fused compiled loop
 
 * congestion over pre-baked bank keys becomes a per-warp histogram —
   O(w) per warp instead of a sort, no temporaries;
-* flat gathers/scatters (INACTIVE lanes pass through as negative
-  indices, exactly as in numpy) run as single loops without the
-  intermediate index arrays;
+* gathers/scatters over the staged flat store indices (INACTIVE
+  lanes pass through as negative indices, exactly as in numpy) run as
+  single loops without the intermediate index arrays, and the masked
+  register merge uses the step's one ``(p,)`` mask for every trial;
 * CRCW last-lane-wins falls out of the forward store order.
 
 numba is imported lazily, only when the backend is probed or staged;
@@ -101,8 +102,6 @@ class NumbaBackend(NumpyBackend):
             kernels["hist_congestion"](keys, w, runs)
             return runs
 
-        # The raw-address fallback (hand-built batches) is already one
-        # vectorized call; only the bank-key count is compiled.
         return instruction_congestions(instr, machine.w, machine.trials, hist_block)
 
     def _move_data(
@@ -112,54 +111,24 @@ class NumbaBackend(NumpyBackend):
         registers: dict[str, np.ndarray],
         staged: StagedPlan,
     ) -> None:
+        from repro.dmm.batched import write_source
+
         kernels: Kernels = staged.state
         memory = machine.memory
-        addresses = instr.addresses
-        flat = instr.flat_stride is not None
-        if flat and instr.flat_stride != memory.stride:
-            raise ValueError(
-                f"instruction staged for memory stride {instr.flat_stride}, "
-                f"machine has {memory.stride}"
-            )
         store = memory.flat_store
-        mask = instr.mask
+        addresses = instr.addresses
         if instr.op == "read":
             gathered = np.empty(addresses.shape, dtype=memory.dtype)
-            if flat:
-                kernels["gather_flat"](store, addresses, gathered)
-            else:
-                kernels["gather_offset"](store, addresses, memory.stride, gathered)
-            if mask is None:
+            kernels["gather_flat"](store, addresses, gathered)
+            if instr.mask is None:
                 registers[instr.register] = gathered
             else:
                 reg = registers.setdefault(
                     instr.register,
                     np.zeros((machine.trials, instr.p), dtype=memory.dtype),
                 )
-                if mask.ndim == 1:
-                    kernels["masked_assign_row"](reg, gathered, mask)
-                else:
-                    kernels["masked_assign_full"](reg, gathered, mask)
+                kernels["masked_assign_row"](reg, gathered, instr.mask)
         else:
-            if instr.values is not None:
-                source = instr.values
-            else:
-                if instr.register not in registers:
-                    raise KeyError(
-                        f"write from register {instr.register!r} before any read into it"
-                    )
-                source = registers[instr.register]
-            if source.ndim == 1:
-                if flat:
-                    kernels["scatter_flat_row"](store, addresses, source)
-                else:
-                    kernels["scatter_offset_row"](
-                        store, addresses, memory.stride, source
-                    )
-            else:
-                if flat:
-                    kernels["scatter_flat"](store, addresses, source)
-                else:
-                    kernels["scatter_offset"](
-                        store, addresses, memory.stride, source
-                    )
+            source = write_source(instr, registers)
+            scatter = "scatter_flat_row" if source.ndim == 1 else "scatter_flat"
+            kernels[scatter](store, addresses, source)

@@ -143,9 +143,6 @@ class BatchedMemory:
         self.trials = check_positive_int(trials, "trials")
         self._stride = size + 1
         self._store = np.full((trials, self._stride), fill, dtype=dtype)
-        #: flat offset of each trial's address 0, shaped to broadcast
-        #: over ``(trials, p)`` address blocks.
-        self.offsets = (np.arange(trials, dtype=np.int64) * self._stride)[:, None]
 
     @property
     def dtype(self) -> np.dtype:
@@ -186,29 +183,11 @@ class BatchedMemory:
         """Copy of trial ``t``'s memory image, shape ``(size,)``."""
         return self._store[t, : self.size].copy()
 
-    def read(self, addresses: np.ndarray) -> np.ndarray:
-        """Gather ``(trials, p)`` addresses per trial.
-
-        Addresses may be in ``[0, size)``, ``size`` (own scratch cell),
-        or ``-1`` (resolves to a neighbouring trial's scratch cell);
-        either scratch read returns garbage to be masked off.
-        """
-        return self._store.ravel()[addresses + self.offsets]
-
-    def write(self, addresses: np.ndarray, values: "npt.ArrayLike") -> None:
-        """Scatter per trial; duplicate addresses resolve last-lane-wins.
-
-        Scratch addresses (``size`` or ``-1``) land outside every
-        trial's addressable words and are harmlessly absorbed.
-        """
-        flat = self._store.ravel()
-        flat[addresses + self.offsets] = values
-
     def read_flat(self, flat_indices: np.ndarray) -> np.ndarray:
         """Gather pre-offset flat indices (``t * stride + address``).
 
-        The fast path for staged programs: the per-trial offset add is
-        paid once at staging instead of once per executed instruction.
+        Staged programs bake each trial's offset into their indices
+        once, so no instruction pays a per-trial offset add.
         """
         return self._store.ravel()[flat_indices]
 

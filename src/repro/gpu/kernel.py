@@ -28,12 +28,11 @@ from repro.dmm.batched import (
     BatchedDMM,
     BatchedExecutionResult,
     BatchedProgram,
-    GatheredProgram,
     StaticInstruction,
 )
 from repro.dmm.machine import DiscreteMemoryMachine, ExecutionResult
 from repro.dmm.trace import INACTIVE, MemoryProgram, read, write
-from repro.dmm.warp import warp_count
+from repro.dmm.warp import duplicate_lanes, warp_classes, warp_count
 from repro.gpu.timing import GPUTimingModel
 from repro.util.rng import SeedLike
 
@@ -372,7 +371,7 @@ class SharedMemoryKernel:
           only when some step counts bank keys), and per array a
           ``(T, p + 1)`` table of flat store indices.
 
-        The result is a :class:`~repro.dmm.batched.GatheredProgram`:
+        The result is a :class:`~repro.dmm.batched.BatchedProgram`:
         each instruction's ``(T, p)`` address block and bank keys are
         gathered from the tables only as the executor reaches it, so a
         run holds one instruction's block at a time.
@@ -440,7 +439,7 @@ class SharedMemoryKernel:
             if recipe is not None and id(recipe) not in evaluated:
                 evaluated[id(recipe)] = recipe.congestions(shifts)
             planned.append(None if recipe is None else evaluated[id(recipe)])
-        return GatheredProgram(
+        return BatchedProgram(
             p, trials, steps, address_tables, key_table, stride, planned
         )
 
@@ -539,38 +538,19 @@ class SharedMemoryKernel:
         # merge structure is trial-independent.  Dead lanes get unique
         # keys >= p and can never mark a live lane.
         pos = idx if maskf is None else np.where(maskf, idx, p + lane)
-        by_warp = pos.reshape(-1, w)
-        n_warps = by_warp.shape[0]
-        order = np.argsort(by_warp, axis=1, kind="stable")
-        rows = np.arange(n_warps)[:, None]
-        srt = by_warp[rows, order]
-        dup_sorted = np.zeros_like(srt, dtype=bool)
-        dup_sorted[:, 1:] = srt[:, 1:] == srt[:, :-1]
-        dup = np.zeros_like(dup_sorted)
-        dup[rows, order] = dup_sorted
-        drop = dup.ravel()
+        drop = duplicate_lanes(pos.reshape(-1, w)).ravel()
         if maskf is not None:
             drop = drop | ~maskf
-        # Per-warp static congestion: a warp whose active lanes all
-        # sit in one matrix row has congestion exactly 1 under
-        # *every* shift draw (distinct columns of a row occupy
-        # distinct banks), and a fully inactive warp has 0.  Only
-        # the remaining warps need per-trial keys.
-        act_w = (
-            np.ones((n_warps, w), dtype=bool)
-            if maskf is None
-            else maskf.reshape(n_warps, w)
-        )
-        any_act = act_w.any(axis=1)
-        ii_w = iif.reshape(n_warps, w)
-        ref_row = ii_w[np.arange(n_warps), act_w.argmax(axis=1)]
-        row_local = (~act_w | (ii_w == ref_row[:, None])).all(axis=1)
+        # Per-warp static congestion: 1 for a row-local warp under
+        # *every* shift draw, 0 for a fully inactive one.  Only the
+        # remaining warps need per-trial keys.
+        any_act, row_local, _ = warp_classes(step.ii, step.jj, step.mask, w)
         static_congestions = (any_act & row_local).astype(np.int64)
         dynamic_warps = np.flatnonzero(any_act & ~row_local)
         # Congestion keys for the dynamic warps only: real bank at
         # counted lanes, sentinel at merged/inactive lanes — one
         # gather, no fixup pass.
-        key_cols = np.where(drop, p + lane, idx).reshape(n_warps, w)
+        key_cols = np.where(drop, p + lane, idx).reshape(-1, w)
         key_columns = key_cols[dynamic_warps].ravel()
         return {
             "table": self.arrays.index(step.array),

@@ -74,6 +74,34 @@ class TestPatternCongestions:
         with pytest.raises(ValueError, match="shifts"):
             pattern_congestions(ii, ii, np.zeros((1, w + 1), dtype=np.int64), w)
 
+    def _stride(self, w=8):
+        return assemble_pattern(np.arange(w), np.zeros(w, dtype=np.int64), w)
+
+    def test_float_shifts_are_a_type_error(self):
+        # Once truncated to shift 0: congestion 8 on the stride grid.
+        ii, jj = self._stride()
+        with pytest.raises(TypeError, match="shifts must be integers"):
+            pattern_congestions(ii, jj, np.full((2, 8), 0.9), 8)
+        with pytest.raises(TypeError, match="shifts must be integers"):
+            expected_worst_congestion(ii, jj, np.full((2, 8), 0.9), 8)
+
+    def test_zero_trials_rejected(self):
+        # Once nan plus a numpy RuntimeWarning from the empty mean.
+        ii, jj = self._stride()
+        shifts = np.zeros((0, 8), dtype=np.int64)
+        with pytest.raises(ValueError, match="at least one trial"):
+            pattern_congestions(ii, jj, shifts, 8)
+        with pytest.raises(ValueError, match="at least one trial"):
+            expected_worst_congestion(ii, jj, shifts, 8)
+
+    @pytest.mark.parametrize("bad", [8, -1])
+    def test_out_of_range_shifts_rejected(self, bad):
+        ii, jj = self._stride()
+        shifts = np.zeros((2, 8), dtype=np.int64)
+        shifts[1, 5] = bad
+        with pytest.raises(ValueError, match=r"shifts must lie in \[0, 8\)"):
+            pattern_congestions(ii, jj, shifts, 8)
+
     def test_rejects_out_of_range_indices(self):
         w = 8
         ii = np.full((1, w), w, dtype=np.int64)

@@ -19,10 +19,11 @@ from repro.core.mappings import (
     mapping_from_shifts,
     sample_shift_batch,
 )
-from repro.dmm import BatchedDMM, stack_programs
+from repro.dmm import BatchedDMM
 from repro.dmm.machine import DiscreteMemoryMachine
 from repro.dmm.mmu import batch_completion_times
-from repro.dmm.trace import INACTIVE, MemoryProgram, read, write
+from repro.dmm.trace import INACTIVE, MemoryProgram, read
+from repro.gpu.kernel import KernelStep, SharedMemoryKernel
 from repro.util.rng import as_generator
 
 W = 8
@@ -183,129 +184,103 @@ def test_run_matches_unplanned_execute_plan(app, mapping_name):
 
 
 # ---------------------------------------------------------------------------
-# stack_programs: the generic (unstaged) batching path
+# random kernels: the staged program against the scalar machine
 # ---------------------------------------------------------------------------
 
 
-class TestStackPrograms:
-    def _random_program(self, rng):
-        p = W * W
-        addrs = rng.integers(0, W * W, size=p)
-        mask = rng.random(p) < 0.8
-        masked = np.where(mask, addrs, INACTIVE)
-        return MemoryProgram(
-            p=p,
-            instructions=[
-                write(np.arange(p) % (W * W), values=np.arange(p, dtype=float)),
-                read(masked, register="r1"),
-                write(rng.integers(0, W * W, size=p), register="r1"),
-            ],
-        )
+def _random_grid(rng, masked_warp=None):
+    """``(ii, jj, mask)`` for one step: per warp a random, row-local or
+    column-local lane set with repeated ``(i, j)`` lanes and a random
+    mask; warp ``masked_warp`` (if any) is fully masked."""
+    ii = rng.integers(0, W, size=(W, W))
+    jj = rng.integers(0, W, size=(W, W))
+    for warp in range(W):
+        style = rng.integers(0, 3)
+        if style == 1:
+            ii[warp] = ii[warp, 0]
+        elif style == 2:
+            jj[warp] = jj[warp, 0]
+        # Repeat a few lanes of the warp: CRCW-merged requests.
+        dst = rng.choice(W, size=3, replace=False)
+        src = rng.choice(W, size=3)
+        ii[warp, dst] = ii[warp, src]
+        jj[warp, dst] = jj[warp, src]
+    mask = rng.random((W, W)) < 0.8
+    if masked_warp is not None:
+        mask[masked_warp] = False
+    return ii, jj, mask
 
-    def test_stacked_execution_matches_each_scalar_run(self):
-        rng = as_generator(21)
-        programs = [self._random_program(rng) for _ in range(3)]
-        batched = stack_programs(programs)
-        machine = BatchedDMM(W, latency=2, memory_size=W * W, trials=3)
-        res = machine.run(batched)
-        for t, program in enumerate(programs):
-            scalar = DiscreteMemoryMachine(W, latency=2, memory_size=W * W)
-            scalar_result = scalar.run(program)
-            _assert_trial_matches(res, t, scalar_result, scalar)
 
-    def test_structural_mismatch_rejected(self):
-        p = W * W
-        a = MemoryProgram(p=p, instructions=[read(np.arange(p) % (W * W))])
-        b = MemoryProgram(
-            p=p, instructions=[write(np.arange(p) % (W * W), register="r2")]
-        )
-        with pytest.raises(ValueError, match="differs structurally"):
-            stack_programs([a, b])
-
-    def test_trial_count_must_match_machine(self):
-        p = W * W
-        programs = [
-            MemoryProgram(p=p, instructions=[read(np.arange(p) % (W * W))])
-        ] * 2
-        machine = BatchedDMM(W, latency=1, memory_size=W * W, trials=3)
-        with pytest.raises(ValueError, match="trials"):
-            machine.run(stack_programs(programs))
-
-    def test_empty_program_list_rejected(self):
-        with pytest.raises(ValueError, match="at least one program"):
-            stack_programs([])
-
-    def test_single_step_programs_stack_and_match_scalar(self):
-        # The minimal batch: one instruction per program, still exact.
-        rng = as_generator(31)
-        p = W * W
-        programs = [
-            MemoryProgram(
-                p=p,
-                instructions=[
-                    write(
-                        rng.integers(0, W * W, size=p),
-                        values=rng.random(p),
-                    )
-                ],
+def _random_steps(seed, n_steps):
+    """A random kernel skeleton over arrays ``a`` and ``b``: immediate
+    writes first so reads move real data, then random reads and writes
+    (register writes only from registers already read)."""
+    rng = as_generator(seed)
+    steps = []
+    filled = []
+    for index in range(n_steps):
+        ii, jj, mask = _random_grid(rng, masked_warp=index % W)
+        array = "ab"[int(rng.integers(0, 2))]
+        if index < 2 or rng.random() < 0.25:
+            steps.append(
+                KernelStep("write", array, ii, jj, mask=mask, immediate=True)
             )
-            for _ in range(3)
-        ]
-        machine = BatchedDMM(W, latency=1, memory_size=W * W, trials=3)
-        res = machine.run(stack_programs(programs))
-        assert len(res.traces) == 1
-        for t, program in enumerate(programs):
-            scalar = DiscreteMemoryMachine(W, latency=1, memory_size=W * W)
-            scalar_result = scalar.run(program)
-            _assert_trial_matches(res, t, scalar_result, scalar)
+        elif not filled or rng.random() < 0.5:
+            register = f"r{int(rng.integers(0, 2))}"
+            steps.append(KernelStep("read", array, ii, jj, register, mask))
+            filled.append(register)
+        else:
+            register = filled[int(rng.integers(0, len(filled)))]
+            steps.append(KernelStep("write", array, ii, jj, register, mask))
+    return steps
 
-    def test_all_masked_warp_has_zero_congestion_everywhere(self):
-        # One warp entirely INACTIVE in every trial: it must dispatch
-        # nothing and contribute zero congestion, in every trial.
-        p = 2 * W
-        addrs = np.arange(p) % (W * W)
-        masked = addrs.copy()
-        masked[W:] = INACTIVE  # second warp fully inactive
-        programs = [
-            MemoryProgram(p=p, instructions=[read(masked, register="r")])
-            for _ in range(3)
-        ]
-        machine = BatchedDMM(W, latency=1, memory_size=W * W, trials=3)
-        res = machine.run(stack_programs(programs))
-        assert np.array_equal(
-            res.traces[0].congestions[:, 1], np.zeros(3, dtype=np.int64)
-        )
-        for t in range(3):
-            assert res.traces[0].trial_dispatched(t) == (0,)
 
-    def test_mixed_value_and_register_columns_rejected(self):
-        # Same op/register but one program writes an immediate while
-        # the other writes from a register: structurally different.
-        p = W * W
-        addrs = np.arange(p) % (W * W)
-        with_values = MemoryProgram(
-            p=p,
-            instructions=[write(addrs, values=np.ones(p))],
-        )
-        from_register = MemoryProgram(
-            p=p,
-            instructions=[write(addrs, register="acc")],
-        )
-        with pytest.raises(ValueError, match="instruction 0 differs structurally"):
-            stack_programs([with_values, from_register])
+#: (seed, steps) of the random kernels; one has a single step.
+RANDOM_KERNELS = [(41, 1), (42, 7), (43, 12)]
 
-    def test_mismatched_thread_count_rejected(self):
-        a = MemoryProgram(p=W, instructions=[read(np.arange(W))])
-        b = MemoryProgram(p=2 * W, instructions=[read(np.arange(2 * W))])
-        with pytest.raises(ValueError, match="thread and instruction counts"):
-            stack_programs([a, b])
 
-    def test_mismatched_instruction_count_rejected(self):
-        addrs = np.arange(W)
-        a = MemoryProgram(p=W, instructions=[read(addrs)])
-        b = MemoryProgram(p=W, instructions=[read(addrs), read(addrs)])
-        with pytest.raises(ValueError, match="thread and instruction counts"):
-            stack_programs([a, b])
+class TestRandomKernels:
+    @pytest.mark.parametrize("path", ["run_batch", "run_plan"])
+    @pytest.mark.parametrize("family", ["RAS", "RAP"])
+    @pytest.mark.parametrize("seed,n_steps", RANDOM_KERNELS)
+    def test_every_trial_matches_the_scalar_machine(
+        self, seed, n_steps, family, path
+    ):
+        from repro.analysis.plan import compile_plan
+
+        steps = _random_steps(seed, n_steps)
+        kernel = SharedMemoryKernel(W, steps, arrays=("a", "b"))
+        shifts = sample_shift_batch(family, W, TRIALS, as_generator(seed))
+        if path == "run_batch":
+            res = kernel.run_batch(shifts, latency=3)
+        else:
+            res = kernel.run_plan(shifts, compile_plan(kernel, family), latency=3)
+        assert len(res.traces) == n_steps
+        for t in range(TRIALS):
+            mapping = mapping_from_shifts(family, shifts[t])
+            scalar_kernel = SharedMemoryKernel(W, steps, ("a", "b"), mapping)
+            machine = scalar_kernel.make_machine(latency=3)
+            scalar_result = machine.run(scalar_kernel.program())
+            _assert_trial_matches(res, t, scalar_result, machine)
+
+    @pytest.mark.parametrize("seed,n_steps", RANDOM_KERNELS)
+    def test_grids_hold_merged_lanes_and_a_masked_warp(self, seed, n_steps):
+        merged = masked = 0
+        for step in _random_steps(seed, n_steps):
+            for warp in range(W):
+                live = (step.ii * W + step.jj)[warp][step.mask[warp]]
+                merged += live.size - np.unique(live).size
+                masked += not live.size
+        assert merged and masked
+
+    @pytest.mark.parametrize("seed,n_steps", RANDOM_KERNELS)
+    def test_wrong_trial_count_rejected(self, seed, n_steps):
+        kernel = SharedMemoryKernel(W, _random_steps(seed, n_steps), ("a", "b"))
+        shifts = sample_shift_batch("RAS", W, TRIALS, as_generator(seed))
+        program = kernel.program_batch(shifts)
+        machine = kernel.make_batched_machine(TRIALS + 1)
+        with pytest.raises(ValueError, match=f"program stages {TRIALS} trials"):
+            machine.run(program)
 
 
 class TestStagedFlatAddressing:
@@ -485,11 +460,6 @@ class TestGatheredProgram:
             by_table.setdefault(sp.table, set()).add(id(instr.addresses))
         assert len(by_table) == plan.tables < len(listed)
         assert all(len(ids) == 1 for ids in by_table.values())
-
-    def test_append_is_refused(self, staged):
-        _, program = staged
-        with pytest.raises(TypeError, match="complete"):
-            program.append(next(iter(program)))
 
 
 # ---------------------------------------------------------------------------

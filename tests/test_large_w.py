@@ -2,11 +2,11 @@
 
 At ``w = 1024`` a flat staged index reaches ``trials * (2 w^2 + 1)``,
 which silently wraps narrow integer dtypes once the per-trial offset
-is baked in — so the batched executor widens every address array to
-int64 on entry.  These tests pin that audit with a bit-identity
-property (scalar == batched at ``w = 256`` and ``w = 1024``) and cover
-the certifier's exact-enumeration fallback on adversarial non-affine
-grids at the largest width.
+is baked in — so staging builds every address table in int64.  These
+tests pin that audit with a bit-identity property (scalar == batched
+at ``w = 256`` and ``w = 1024``) and cover the certifier's
+exact-enumeration fallback on adversarial non-affine grids at the
+largest width.
 """
 
 import numpy as np
@@ -20,7 +20,6 @@ from repro.core.mappings import (
     mapping_from_shifts,
     sample_shift_batch,
 )
-from repro.dmm.batched import BatchedInstruction
 from repro.dmm.trace import MemoryProgram, read
 from repro.gpu.kernel import KernelStep, SharedMemoryKernel
 from repro.util.rng import as_generator
@@ -35,6 +34,8 @@ def test_batched_matches_scalar_bit_identical_at_large_w(w, trials):
     seed = 321
     shifts = sample_shift_batch("RAP", w, trials, as_generator(seed))
     kernel = build_app_program("transpose_crsw", RAWMapping(w), seed=seed)
+    program = kernel.program_batch(shifts)
+    assert all(t.dtype == np.int64 for t in program.address_tables)
     res = kernel.run_batch(shifts, latency=2)
     for t in range(trials):
         mapping = mapping_from_shifts("RAP", shifts[t])
@@ -49,34 +50,6 @@ def test_batched_matches_scalar_bit_identical_at_large_w(w, trials):
         for reg, values in scalar.registers.items():
             assert np.array_equal(values, bregs[reg])
         assert np.array_equal(res.memory.trial(t), machine.memory.store)
-
-
-class TestBatchedInstructionDtypes:
-    def test_narrow_dtypes_widen_to_int64(self):
-        """int16/int32 staging arrays are normalized before any offset
-        math can wrap them."""
-        for dtype in (np.int16, np.int32, np.uint16):
-            instr = BatchedInstruction(
-                "read", np.zeros((2, 8), dtype=dtype)
-            )
-            assert instr.addresses.dtype == np.int64
-
-    def test_int16_addresses_survive_beyond_int16_range(self):
-        """A w = 1024 flat index exceeds int16; widening keeps it exact."""
-        # 40000 overflows int16 (max 32767) — stage it via int32 and
-        # confirm the widened array holds the true value.
-        instr = BatchedInstruction(
-            "read", np.full((1, 4), 40000, dtype=np.int32)
-        )
-        assert (instr.addresses == 40000).all()
-
-    def test_float_addresses_rejected(self):
-        with pytest.raises(ValueError, match="integers"):
-            BatchedInstruction("read", np.zeros((2, 8), dtype=np.float64))
-
-    def test_below_inactive_rejected(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            BatchedInstruction("read", np.full((1, 4), -2, dtype=np.int64))
 
 
 # -- satellite 4: enumerate fallback at w = 1024 --------------------------

@@ -137,6 +137,29 @@ class TestCompileVerdicts:
         assert len(plan.steps) == 112
         assert plan.tables == 2
 
+    @pytest.mark.parametrize("family", PLAN_FAMILIES)
+    def test_each_table_is_classified_once(self, family, monkeypatch):
+        import repro.analysis.plan as plan_module
+
+        calls = []
+        classify = plan_module.warp_classes
+
+        def counted(*args):
+            calls.append(args)
+            return classify(*args)
+
+        monkeypatch.setattr(plan_module, "warp_classes", counted)
+        plan = self._plan("shearsort", family)
+        assert len(calls) == plan.tables == 2
+        first = {}
+        for sp in plan.steps:
+            lead = first.setdefault(sp.table, sp)
+            assert (sp.method, sp.argument, sp.static_warps) == (
+                lead.method,
+                lead.argument,
+                lead.static_warps,
+            )
+
     def test_unknown_family_rejected(self):
         kernel = build_app_program("gather", RAWMapping(W), seed=2014)
         with pytest.raises(ValueError, match="unknown mapping family"):
