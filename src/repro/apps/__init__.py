@@ -100,6 +100,18 @@ BUILTIN_PROGRAMS = {
 }
 
 
+def app_factory(name):
+    """The skeleton builder of builtin app ``name``; an unknown name
+    raises a one-line ``ValueError`` listing the registry."""
+    try:
+        return BUILTIN_PROGRAMS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown program {name!r}; expected one of "
+            f"{tuple(sorted(BUILTIN_PROGRAMS))}"
+        ) from None
+
+
 def build_app_program(name, mapping, seed=None):
     """Build a builtin app's access skeleton by registry name.
 
@@ -108,14 +120,7 @@ def build_app_program(name, mapping, seed=None):
     votes, random gather/spmv indices) and is ignored by the
     deterministic ones.
     """
-    try:
-        factory = BUILTIN_PROGRAMS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown program {name!r}; expected one of "
-            f"{tuple(sorted(BUILTIN_PROGRAMS))}"
-        ) from None
-    return factory(mapping, seed=seed)
+    return app_factory(name)(mapping, seed=seed)
 
 
 def app_width_error(apps, w):
@@ -133,6 +138,7 @@ def app_width_error(apps, w):
 
 __all__ = [
     "BUILTIN_PROGRAMS",
+    "app_factory",
     "app_width_error",
     "build_app_program",
     "FFTOutcome",

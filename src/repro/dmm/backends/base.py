@@ -31,11 +31,16 @@ timing arithmetic — exists once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Optional, Protocol, runtime_checkable
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Optional,
+    Protocol,
+    runtime_checkable,
+)
 
 import numpy as np
-
-from repro.dmm.mmu import batch_completion_times
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dmm.batched import (
@@ -105,18 +110,12 @@ class PlanBackend(Protocol):
 class NumpyBackend:
     """The reference backend: the host instruction loop over numpy.
 
-    For each instruction of the program:
+    For each instruction of the program, in order, the timing half
+    (:func:`~repro.dmm.batched.step_timing`: a *fully static*
+    instruction's closed form, else its counted congestions and the
+    vectorized timing arithmetic) and then the data half.
 
-    * a *fully static* instruction (constant per-warp congestion, empty
-      dynamic-warp set — every plan-resolved step, and every step whose
-      warps are all row-local or empty) settles its congestion matrix
-      and completion time in closed form and only moves data;
-    * every other instruction counts congestion (the planned matrix
-      when the plan staged one, else static congestions plus the
-      dynamic warps' pre-staged bank keys) and runs the vectorized
-      timing arithmetic.
-
-    Subclasses override :meth:`_congestions` and :meth:`_move_data` to
+    Subclasses override :meth:`_count_warps` and :meth:`_move_data` to
     swap in compiled kernels; the loop structure — and therefore the
     exactness contract — stays shared.
     """
@@ -152,6 +151,7 @@ class NumpyBackend:
         from repro.dmm.batched import (
             BatchedExecutionResult,
             BatchedInstructionTrace,
+            step_timing,
         )
 
         if staged.backend != self.name:
@@ -165,23 +165,16 @@ class NumpyBackend:
         result = BatchedExecutionResult(
             time_units=time_units, registers=registers, memory=machine.memory
         )
+        count_warps = self._count_warps(staged)
         for instr in staged.program:
-            static = instr.static_congestions
-            dyn = instr.dynamic_warps
-            if static is not None and dyn is not None and dyn.size == 0:
-                # Fully static: the constant per-warp vector, and
-                # StageSchedule's closed form on its total.
-                cong = np.broadcast_to(
-                    static[None, :], (machine.trials, static.size)
-                )
-                total = int(static.sum())
-                per_trial = total + machine.latency - 1 if total > 0 else 0
-                times = np.full(machine.trials, per_trial, dtype=np.int64)
-            else:
-                cong = self._congestions(machine, instr, staged)
-                times = batch_completion_times(
-                    cong.sum(axis=1), machine.latency
-                )
+            cong, times = step_timing(
+                machine,
+                instr.static_congestions,
+                instr.dynamic_warps,
+                instr.bank_keys,
+                instr.planned_congestions,
+                count_warps,
+            )
             self._move_data(machine, instr, registers, staged)
             result.traces.append(
                 BatchedInstructionTrace(
@@ -193,15 +186,14 @@ class NumpyBackend:
         return result
 
     # -- the two hot primitives subclasses replace -----------------------
-    def _congestions(
-        self,
-        machine: "BatchedDMM",
-        instr: "BatchedInstruction",
-        staged: StagedPlan,
-    ) -> np.ndarray:
-        from repro.dmm.batched import instruction_congestions
+    def _count_warps(
+        self, staged: StagedPlan
+    ) -> Callable[[np.ndarray, int], np.ndarray]:
+        """The dynamic-warp congestion counter, with
+        :func:`~repro.dmm.batched.warp_congestion_block`'s contract."""
+        from repro.dmm.batched import warp_congestion_block
 
-        return instruction_congestions(instr, machine.w, machine.trials)
+        return warp_congestion_block
 
     def _move_data(
         self,

@@ -86,14 +86,9 @@ class NumbaBackend(NumpyBackend):
         return self._kernels
 
     # -- hot primitives ---------------------------------------------------
-    def _congestions(
-        self,
-        machine: "BatchedDMM",
-        instr: "BatchedInstruction",
-        staged: StagedPlan,
-    ) -> np.ndarray:
-        from repro.dmm.batched import instruction_congestions
-
+    def _count_warps(
+        self, staged: StagedPlan
+    ) -> Callable[[np.ndarray, int], np.ndarray]:
         kernels: Kernels = staged.state
 
         def hist_block(bank_keys: np.ndarray, w: int) -> np.ndarray:
@@ -102,7 +97,7 @@ class NumbaBackend(NumpyBackend):
             kernels["hist_congestion"](keys, w, runs)
             return runs
 
-        return instruction_congestions(instr, machine.w, machine.trials, hist_block)
+        return hist_block
 
     def _move_data(
         self,

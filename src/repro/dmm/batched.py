@@ -21,11 +21,20 @@ through every array.  Its one program form is the
 * :class:`~repro.dmm.mmu.StageSchedule` timing arithmetic runs as
   ``(T,)`` vector ops (:func:`~repro.dmm.mmu.batch_completion_times`).
 
+Each step has a timing half (:func:`step_timing`, the one definition of
+the timing rules here) and a data half (gathers, scatters, registers).
+:meth:`BatchedDMM.run` executes both.  :meth:`BatchedDMM.time`, for
+callers that keep only ``time_units``, runs only the timing half: a
+step's time depends only on its per-warp congestions, and staged
+addresses never depend on data, so it never gathers an address block
+or touches memory.
+
 The contract is exactness, not approximation: for every trial ``t``,
 per-step congestions, total time units, final memory, and final
 registers equal what the scalar machine produces for trial ``t``'s
-mapping (``tests/test_batched_dmm.py`` pins this for every builtin app
-under RAW, RAS, and RAP).  Inactive lanes are redirected to a per-trial
+mapping, and :meth:`BatchedDMM.time` equals ``run(...).time_units``
+(``tests/test_batched_dmm.py`` pins this for every builtin app under
+RAW, RAS, and RAP).  Inactive lanes are redirected to a per-trial
 scratch cell rather than compressed away, which keeps every memory
 operation a single flat gather/scatter; CRCW last-lane-wins write
 resolution survives because the flat row-major order preserves each
@@ -46,6 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover
 from repro.core.congestion import max_run_lengths
 from repro.dmm.backends.base import NumpyBackend
 from repro.dmm.memory import BatchedMemory
+from repro.dmm.mmu import batch_completion_times
 from repro.dmm.trace import INACTIVE
 from repro.util.validation import check_latency, check_positive_int
 
@@ -58,6 +68,7 @@ __all__ = [
     "BatchedDMM",
     "warp_congestion_block",
     "instruction_congestions",
+    "step_timing",
     "write_source",
 ]
 
@@ -81,28 +92,65 @@ def warp_congestion_block(bank_keys: np.ndarray, w: int) -> np.ndarray:
 
 
 def instruction_congestions(
-    instr: "BatchedInstruction",
+    static_congestions: Optional[np.ndarray],
+    dynamic_warps: Optional[np.ndarray],
+    bank_keys: Optional[np.ndarray],
+    planned: Optional[np.ndarray],
     w: int,
     trials: int,
     count_warps: Callable[[np.ndarray, int], np.ndarray] = warp_congestion_block,
 ) -> np.ndarray:
-    """Per-trial, per-warp congestion of one instruction, ``(trials, n_warps)``.
+    """Per-trial, per-warp congestion of one step, ``(trials, n_warps)``.
 
-    ``planned_congestions`` (the plan compiler's exact per-trial matrix,
-    already evaluated) wins when set; otherwise the static congestions
-    are broadcast and the dynamic warps counted from their bank keys by
-    ``count_warps``, which has :func:`warp_congestion_block`'s contract.
+    ``planned`` (the plan compiler's exact per-trial matrix, already
+    evaluated) wins when set; otherwise ``static_congestions`` is
+    broadcast and the ``dynamic_warps`` counted from their
+    ``bank_keys`` by ``count_warps``, which has
+    :func:`warp_congestion_block`'s contract.  No address is read.
     """
-    if instr.planned_congestions is not None:
-        return instr.planned_congestions
-    static, dyn, keys = instr.static_congestions, instr.dynamic_warps, instr.bank_keys
+    if planned is not None:
+        return planned
+    static, dyn, keys = static_congestions, dynamic_warps, bank_keys
     # Staging sets all three on every step without a planned matrix.
     assert static is not None and dyn is not None and keys is not None
-    cong = np.empty((trials, instr.p // w), dtype=np.int64)
+    cong = np.empty((trials, static.size), dtype=np.int64)
     cong[:] = static
     if dyn.size:
         cong[:, dyn] = count_warps(keys, w).reshape(trials, dyn.size)
     return cong
+
+
+def step_timing(
+    machine: "BatchedDMM",
+    static_congestions: Optional[np.ndarray],
+    dynamic_warps: Optional[np.ndarray],
+    bank_keys: Optional[np.ndarray],
+    planned: Optional[np.ndarray],
+    count_warps: Callable[[np.ndarray, int], np.ndarray] = warp_congestion_block,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The timing half of one step on ``machine``: ``(T, n_warps)``
+    congestions and ``(T,)`` completion times.
+
+    A *fully static* step (constant per-warp congestion, empty
+    dynamic-warp set — every plan-resolved step, and every step whose
+    warps are all row-local or empty) takes
+    :class:`~repro.dmm.mmu.StageSchedule`'s closed form on its constant
+    total; every other step counts with :func:`instruction_congestions`
+    and runs :func:`~repro.dmm.mmu.batch_completion_times`.  The host
+    instruction loop and :meth:`BatchedDMM.time` both time steps here,
+    so the rules exist once.
+    """
+    trials, latency = machine.trials, machine.latency
+    static, dyn = static_congestions, dynamic_warps
+    if static is not None and dyn is not None and dyn.size == 0:
+        cong = np.broadcast_to(static[None, :], (trials, static.size))
+        total = int(static.sum())
+        per_trial = total + latency - 1 if total > 0 else 0
+        return cong, np.full(trials, per_trial, dtype=np.int64)
+    cong = instruction_congestions(
+        static, dyn, bank_keys, planned, machine.w, trials, count_warps
+    )
+    return cong, batch_completion_times(cong.sum(axis=1), latency)
 
 
 @dataclass(frozen=True)
@@ -212,8 +260,9 @@ class BatchedProgram:
     step's ``(T, n_warps)`` planned congestion matrix or ``None``.
     Iterating yields one :class:`BatchedInstruction` at a time, its
     ``(T, p)`` address block and bank keys taken from the tables just
-    then, so an executor holds one instruction's block, not the whole
-    program's.  :attr:`instructions` gathers every step.
+    then (:meth:`step_addresses`, :meth:`step_keys`), so an executor
+    holds one instruction's block, not the whole program's.
+    :attr:`instructions` gathers every step.
     """
 
     def __init__(
@@ -254,16 +303,18 @@ class BatchedProgram:
     def _block_key(step: StaticInstruction) -> tuple:
         return (step.table, id(step.columns), id(step.key_columns))
 
-    def _gather(
-        self, step: StaticInstruction
-    ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        """One step's ``(T, p)`` address block and its bank keys."""
-        addresses = np.take(self.address_tables[step.table], step.columns, axis=1)
+    def step_addresses(self, step: StaticInstruction) -> np.ndarray:
+        """One step's ``(T, p)`` address block, gathered from its table."""
+        return np.take(self.address_tables[step.table], step.columns, axis=1)
+
+    def step_keys(self, step: StaticInstruction) -> Optional[np.ndarray]:
+        """One step's dynamic-warp bank keys, ``(T, len(dynamic_warps) * w)``
+        (``None`` for a step counted from a planned matrix)."""
         if step.key_columns is None:
-            return addresses, None
+            return None
         if not step.key_columns.size:
-            return addresses, self._no_keys
-        return addresses, np.take(self.key_table, step.key_columns, axis=1)
+            return self._no_keys
+        return np.take(self.key_table, step.key_columns, axis=1)
 
     def __iter__(self) -> Iterator[BatchedInstruction]:
         # Steps of one plan-pooled address table share their static
@@ -273,7 +324,10 @@ class BatchedProgram:
         live: dict[tuple, tuple] = {}
         for index, (step, planned) in enumerate(zip(self.steps, self.planned)):
             key = self._block_key(step)
-            block = live.pop(key, None) or self._gather(step)
+            block = live.pop(key, None) or (
+                self.step_addresses(step),
+                self.step_keys(step),
+            )
             if last_use[key] > index:
                 live[key] = block
             addresses, bank_keys = block
@@ -418,6 +472,32 @@ class BatchedDMM:
     def run(self, program: BatchedProgram) -> BatchedExecutionResult:
         """Execute the batch; returns per-trial data and exact timing."""
         return _HOST_LOOP.run(self, program)
+
+    def time(self, program: BatchedProgram) -> np.ndarray:
+        """Per-trial total time units, ``(T,)`` int64: ``run(program).time_units``
+        without the data half.
+
+        Under the DMM cost model a step's time depends only on its
+        per-warp congestions, and a staged program's addresses — hence
+        its bank keys — come from the shift draws alone, never from the
+        data.  So after :meth:`run`'s checks, each step is timed by
+        :func:`step_timing` from its static congestions, its planned
+        matrix, or its dynamic warps' keys taken from the program's key
+        table.  No address block is gathered, memory is never read or
+        written, and no register is built.
+        """
+        self._check_program(program)
+        time_units = np.zeros(self.trials, dtype=np.int64)
+        for step, planned in zip(program.steps, program.planned):
+            _, times = step_timing(
+                self,
+                step.static_congestions,
+                step.dynamic_warps,
+                program.step_keys(step),
+                planned,
+            )
+            time_units += times
+        return time_units
 
     def execute_plan(
         self,

@@ -585,6 +585,19 @@ class SharedMemoryKernel:
         program = self.program_batch(shifts)
         return self.make_batched_machine(program.trials, latency).run(program)
 
+    def time_batch(self, shifts: np.ndarray, latency: int = 1) -> np.ndarray:
+        """Per-trial completion times under ``T`` shift draws, ``(T,)``.
+
+        ``run_batch(shifts, latency).time_units`` without the data half:
+        stages :meth:`program_batch` and times it with
+        :meth:`~repro.dmm.batched.BatchedDMM.time` on a fresh
+        :meth:`make_batched_machine`, which counts congestion but never
+        gathers an address block or moves a word.  ``shifts`` is checked
+        as in :meth:`program_batch`.
+        """
+        program = self.program_batch(shifts)
+        return self.make_batched_machine(program.trials, latency).time(program)
+
     def run_plan(
         self,
         shifts: np.ndarray,

@@ -26,7 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 from repro.access.patterns_nd import ND_PATTERN_NAMES
 from repro.access.transpose import TRANSPOSE_NAMES, run_transpose
-from repro.apps import build_app_program
+from repro.apps import app_factory, build_app_program
 from repro.core.higher_dim import ND_MAPPING_NAMES, nd_mapping_by_name
 from repro.core.mappings import (
     MAPPING_NAMES,
@@ -49,6 +49,7 @@ from repro.util.rng import (
     spawn_generators,
     spawn_seed_sequences,
 )
+from repro.util.validation import check_latency, check_positive_int
 
 __all__ = [
     "AppTimingResult",
@@ -438,8 +439,12 @@ def table3(
     congestion and total stages, and convert stages to nanoseconds
     with the calibrated model.  ``engine`` distributes the nine
     (algorithm, mapping) combos over workers; results are identical
-    for every worker count.
+    for every worker count.  ``w``, ``trials`` and ``latency`` are
+    checked before any combo is dispatched.
     """
+    check_positive_int(w, "w")
+    check_positive_int(trials, "trials")
+    check_latency(latency)
     if timing_model is None:
         timing_model = GPUTimingModel.fit_to_paper()
     engine = engine or MonteCarloEngine()
@@ -639,21 +644,24 @@ def _app_time_shard(params: tuple, n: int, rng) -> np.ndarray:
 
     Draws the shard's ``n`` shift matrices with one
     :func:`~repro.core.mappings.sample_shift_batch` call (the exact
-    stream the batched staging consumes), then executes the app under
-    each draw.  The batched executor runs the cell's one skeleton,
-    reused across shards from a one-entry per-process cache, so its
+    stream the batched staging consumes), then times the app under
+    each draw.  The batched path runs the cell's one skeleton, reused
+    across shards from a one-entry per-process cache, so its
     draw-independent staging is paid once per process and each shard
     only gathers its own draws (see
-    :meth:`~repro.gpu.kernel.SharedMemoryKernel.program_batch`).  The
-    ``batched`` flag selects the executor only — both paths consume
-    the same stream and return identical per-trial times, which
+    :meth:`~repro.gpu.kernel.SharedMemoryKernel.program_batch`).  It
+    keeps only the times, so it runs the executor's time-only path
+    (:meth:`~repro.gpu.kernel.SharedMemoryKernel.time_batch`): the
+    shard counts congestion and never moves data.  The ``batched``
+    flag selects the executor only — both paths consume the same
+    stream and return identical per-trial times, which
     ``tests/test_batched_dmm.py`` pins.
     """
     app, mapping_name, w, latency, batched, skeleton_seed = params
     shifts = sample_shift_batch(mapping_name, w, n, rng)
     if batched:
         kernel = _app_skeleton(app, w, skeleton_seed)
-        return kernel.run_batch(shifts, latency=latency).time_units
+        return kernel.time_batch(shifts, latency=latency)
     times = np.empty(n, dtype=np.int64)
     for t in range(n):
         mapping = mapping_from_shifts(mapping_name, shifts[t])
@@ -680,9 +688,10 @@ def app_time_sweep(
 
     For each (app, mapping) cell, draws ``trials`` independent shift
     matrices and measures the program's cycle-accurate DMM completion
-    time under each draw, using the batched executor
-    (:meth:`~repro.gpu.kernel.SharedMemoryKernel.run_batch`) by
-    default.  ``engine`` shards the trials with the fixed plan of
+    time under each draw, using the batched executor's time-only path
+    (:meth:`~repro.gpu.kernel.SharedMemoryKernel.time_batch`, exactly
+    ``run_batch(...).time_units``) by default.  ``engine`` shards the
+    trials with the fixed plan of
     :class:`~repro.sim.engine.MonteCarloEngine`, so for a fixed seed
     the result is bit-identical for every worker count — and identical
     between the batched and scalar executors (``batched=False`` exists
@@ -691,7 +700,20 @@ def app_time_sweep(
     mapping-independent, which is what makes batching across draws
     possible.  ``fabric`` selects the distributed sweep fabric for the
     default engine (ignored when ``engine`` is supplied).
+
+    Bad arguments raise the ``ValueError`` (or ``TypeError``) a shard
+    would, here rather than as retried shard faults: the width, trial
+    count, latency, app names and mapping names before any shard is
+    dispatched, and an app that cannot be built at ``w`` when its
+    skeleton is built, before its first cell's shards.
     """
+    check_positive_int(w, "w")
+    check_positive_int(trials, "trials")
+    check_latency(latency)
+    for app in apps:
+        app_factory(app)
+    for mapping in mappings:
+        sample_shift_batch(mapping, w, 1, 0)
     engine = engine or MonteCarloEngine(fabric=fabric)
     cells = [(app, mapping) for app in apps for mapping in mappings]
     seqs = spawn_seed_sequences(seed, len(cells))
@@ -702,6 +724,9 @@ def app_time_sweep(
         if recorded is not None:
             time_units = np.asarray(recorded, dtype=np.int64)
         else:
+            # The skeleton the cell's shards reuse in-process; an app's
+            # width error surfaces here.
+            _app_skeleton(app, w, skeleton_seed)
             params = (app, mapping, w, latency, batched, skeleton_seed)
             chunks = engine.map_trial_batches(_app_time_shard, params, trials, seq)
             time_units = np.concatenate(chunks)

@@ -184,6 +184,85 @@ def test_run_matches_unplanned_execute_plan(app, mapping_name):
 
 
 # ---------------------------------------------------------------------------
+# the time-only path: run(...).time_units without the data half
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mapping_name", MAPPING_NAMES)
+@pytest.mark.parametrize("app", sorted(BUILTIN_PROGRAMS))
+def test_time_batch_equals_run_batch_and_scalar(app, mapping_name):
+    shifts = sample_shift_batch(mapping_name, W, TRIALS, as_generator(SEED))
+    kernel = build_app_program(app, RAWMapping(W), seed=SEED)
+    times = kernel.time_batch(shifts, latency=4)
+    assert times.dtype == np.int64 and times.shape == (TRIALS,)
+    assert np.array_equal(times, kernel.run_batch(shifts, latency=4).time_units)
+    for t in range(TRIALS):
+        mapping = mapping_from_shifts(mapping_name, shifts[t])
+        scalar_kernel = build_app_program(app, mapping, seed=SEED)
+        machine = scalar_kernel.make_machine(latency=4)
+        assert int(times[t]) == machine.run(scalar_kernel.program()).time_units
+
+
+@pytest.mark.parametrize("family", ["RAS", "RAP"])
+@pytest.mark.parametrize("app", sorted(BUILTIN_PROGRAMS))
+def test_time_of_plan_staged_program_equals_execute_plan(app, family):
+    """Resolved steps (closed form), coset steps (planned matrix) and
+    residual steps (bank keys) all time as ``execute_plan`` does."""
+    from repro.analysis.plan import compile_plan
+
+    kernel = build_app_program(app, RAWMapping(W), seed=SEED)
+    plan = compile_plan(kernel, family)
+    shifts = sample_shift_batch(family, W, TRIALS, as_generator(SEED))
+    program = kernel.program_batch(shifts, plan=plan)
+    times = kernel.make_batched_machine(TRIALS, 3).time(program)
+    executed = kernel.make_batched_machine(TRIALS, 3).execute_plan(program)
+    assert np.array_equal(times, executed.time_units)
+
+
+class TestTimeOnlyPath:
+    @staticmethod
+    def _break_the_address_path(monkeypatch):
+        from repro.dmm.batched import BatchedProgram
+        from repro.dmm.memory import BatchedMemory
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the time-only path reached the data half")
+
+        monkeypatch.setattr(BatchedMemory, "read_flat", refuse)
+        monkeypatch.setattr(BatchedMemory, "write_flat", refuse)
+        monkeypatch.setattr(BatchedProgram, "step_addresses", refuse)
+
+    @pytest.mark.parametrize("planned", [False, True])
+    @pytest.mark.parametrize("app", ["fft", "sort", "transpose_crsw"])
+    def test_never_gathers_addresses_or_moves_data(self, monkeypatch, app, planned):
+        from repro.analysis.plan import compile_plan
+
+        kernel = build_app_program(app, RAWMapping(W), seed=SEED)
+        plan = compile_plan(kernel, "RAS") if planned else None
+        shifts = sample_shift_batch("RAS", W, TRIALS, as_generator(SEED))
+        want = kernel.make_batched_machine(TRIALS, 2).run(
+            kernel.program_batch(shifts, plan=plan)
+        ).time_units
+        self._break_the_address_path(monkeypatch)
+        machine = kernel.make_batched_machine(TRIALS, 2)
+        program = kernel.program_batch(shifts, plan=plan)
+        assert np.array_equal(machine.time(program), want)
+        # The patch does bite the full executor.
+        with pytest.raises(AssertionError, match="data half"):
+            machine.run(program)
+
+    def test_app_sweep_never_moves_data(self, monkeypatch):
+        from repro.sim.experiments import app_time_sweep
+
+        kwargs = dict(apps=("fft", "scan"), w=W, trials=6, seed=3)
+        want = app_time_sweep(**kwargs)
+        self._break_the_address_path(monkeypatch)
+        got = app_time_sweep(**kwargs)
+        for key, res in want.items():
+            assert np.array_equal(got[key].time_units, res.time_units)
+
+
+# ---------------------------------------------------------------------------
 # random kernels: the staged program against the scalar machine
 # ---------------------------------------------------------------------------
 
@@ -253,8 +332,14 @@ class TestRandomKernels:
         shifts = sample_shift_batch(family, W, TRIALS, as_generator(seed))
         if path == "run_batch":
             res = kernel.run_batch(shifts, latency=3)
+            times = kernel.time_batch(shifts, latency=3)
         else:
-            res = kernel.run_plan(shifts, compile_plan(kernel, family), latency=3)
+            plan = compile_plan(kernel, family)
+            res = kernel.run_plan(shifts, plan, latency=3)
+            times = kernel.make_batched_machine(TRIALS, 3).time(
+                kernel.program_batch(shifts, plan=plan)
+            )
+        assert np.array_equal(times, res.time_units)
         assert len(res.traces) == n_steps
         for t in range(TRIALS):
             mapping = mapping_from_shifts(family, shifts[t])
@@ -281,6 +366,8 @@ class TestRandomKernels:
         machine = kernel.make_batched_machine(TRIALS + 1)
         with pytest.raises(ValueError, match=f"program stages {TRIALS} trials"):
             machine.run(program)
+        with pytest.raises(ValueError, match=f"program stages {TRIALS} trials"):
+            machine.time(program)
 
 
 class TestStagedFlatAddressing:
@@ -298,6 +385,8 @@ class TestStagedFlatAddressing:
         )
         with pytest.raises(ValueError, match="stride"):
             bigger.run(staged)
+        with pytest.raises(ValueError, match="stride"):
+            bigger.time(staged)
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +615,44 @@ class TestTrialBatchSharding:
             assert np.array_equal(res.time_units, scalar[key].time_units)
             assert res.trials == 9
             assert res.mean_time == pytest.approx(res.time_units.mean())
+
+
+class TestSweepArgumentsFailAtTheBoundary:
+    """Deterministically bad arguments raise the shard's own one-line
+    error at the call, and are never retried as shard faults."""
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            (dict(w=24), "mapping width must be a power of two, got 24"),
+            (dict(latency=0), "latency must be >= 1, got 0"),
+            (dict(apps=("nope",)), "unknown program 'nope'; expected one of"),
+            (dict(mappings=("XOR",)), "unknown mapping 'XOR'; expected one of"),
+        ],
+    )
+    def test_app_time_sweep(self, kwargs, message):
+        from repro.sim.engine import MonteCarloEngine
+        from repro.sim.experiments import app_time_sweep
+
+        engine = MonteCarloEngine(cache=False)
+        with pytest.raises(ValueError) as excinfo:
+            app_time_sweep(trials=4, engine=engine, **kwargs)
+        assert type(excinfo.value) is ValueError
+        assert str(excinfo.value).startswith(message)
+        assert "\n" not in str(excinfo.value)
+        assert engine.collector.retries == []
+
+    def test_table3(self):
+        from repro.sim.engine import MonteCarloEngine
+        from repro.sim.experiments import table3
+
+        engine = MonteCarloEngine(cache=False)
+        with pytest.raises(ValueError) as excinfo:
+            table3(trials=2, latency=0, engine=engine)
+        assert type(excinfo.value) is ValueError
+        assert str(excinfo.value) == "latency must be >= 1, got 0"
+        assert engine.collector.retries == []
+        assert engine.collector.shards == []
 
 
 # ---------------------------------------------------------------------------
