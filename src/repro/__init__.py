@@ -32,150 +32,79 @@ Run ``python -m repro table2`` (or any other experiment id) to
 regenerate the paper's evaluation.
 """
 
-from repro.apps import (
-    run_bitonic_sort,
-    run_fft,
-    run_gather,
-    run_global_transpose,
-    run_histogram,
-    run_scan,
-    run_stencil,
-)
-from repro.access import (
-    PATTERN_NAMES,
-    TRANSPOSE_NAMES,
-    TransposeOutcome,
-    pattern_addresses,
-    pattern_logical,
-    run_transpose,
-    transpose_program,
-)
-from repro.core import (
-    MAPPING_NAMES,
-    ND_MAPPING_NAMES,
-    AddressMapping,
-    GeneralNDMapping,
-    NDMapping,
-    OneP,
-    OnePWRandom,
-    PaddedMapping,
-    XORSwizzleMapping,
-    RAPMapping,
-    RAS4D,
-    RASMapping,
-    RAW4D,
-    RAWMapping,
-    RepeatedOneP,
-    ThreeP,
-    WSquaredP,
-    bank_loads,
-    congestion_batch,
-    exact_expected_max_load,
-    lemma4_threshold,
-    mapping_by_name,
-    nd_mapping_by_name,
-    random_permutation,
-    theorem2_expectation_bound,
-    warp_congestion,
-)
-from repro.dmm import (
-    BankedMemory,
-    DiscreteMemoryMachine,
-    MemoryProgram,
-    PipelinedMMU,
-    UnifiedMemoryMachine,
-    read,
-    write,
-)
-from repro.gpu import (
-    GPUTimingModel,
-    SharedMemoryKernel,
-    run_matmul,
-    transpose_kernel,
-)
-from repro.routing import (
-    hostile_permutation,
-    random_data_permutation,
-    run_offline_permutation,
-)
-from repro.sim import (
-    simulate_matrix_congestion,
-    simulate_nd_congestion,
-    table1,
-    table2,
-    table3,
-    table4,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # mappings
-    "MAPPING_NAMES",
-    "ND_MAPPING_NAMES",
-    "AddressMapping",
-    "RAWMapping",
-    "RASMapping",
-    "RAPMapping",
-    "PaddedMapping",
-    "XORSwizzleMapping",
-    "GeneralNDMapping",
-    "mapping_by_name",
-    "NDMapping",
-    "RAW4D",
-    "RAS4D",
-    "OneP",
-    "RepeatedOneP",
-    "ThreeP",
-    "WSquaredP",
-    "OnePWRandom",
-    "nd_mapping_by_name",
-    "random_permutation",
-    # congestion & theory
-    "bank_loads",
-    "warp_congestion",
-    "congestion_batch",
-    "lemma4_threshold",
-    "theorem2_expectation_bound",
-    "exact_expected_max_load",
-    # machines
-    "BankedMemory",
-    "DiscreteMemoryMachine",
-    "UnifiedMemoryMachine",
-    "PipelinedMMU",
-    "MemoryProgram",
-    "read",
-    "write",
-    # access & kernels
-    "PATTERN_NAMES",
-    "TRANSPOSE_NAMES",
-    "pattern_logical",
-    "pattern_addresses",
-    "TransposeOutcome",
-    "run_transpose",
-    "transpose_program",
-    "SharedMemoryKernel",
-    "transpose_kernel",
-    "run_matmul",
-    "GPUTimingModel",
-    # application workloads
-    "run_fft",
-    "run_scan",
-    "run_stencil",
-    "run_global_transpose",
-    "run_bitonic_sort",
-    "run_histogram",
-    "run_gather",
-    # offline permutation
-    "hostile_permutation",
-    "random_data_permutation",
-    "run_offline_permutation",
-    # experiments
-    "simulate_matrix_congestion",
-    "simulate_nd_congestion",
-    "table1",
-    "table2",
-    "table3",
-    "table4",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        __name__: ["__version__"],
+        # mappings
+        "repro.core.mappings": [
+            "MAPPING_NAMES",
+            "AddressMapping",
+            "RAWMapping",
+            "RASMapping",
+            "RAPMapping",
+            "mapping_by_name",
+        ],
+        "repro.core.padded": ["PaddedMapping"],
+        "repro.core.swizzle": ["XORSwizzleMapping"],
+        "repro.core.ndim_general": ["GeneralNDMapping"],
+        "repro.core.higher_dim": [
+            "ND_MAPPING_NAMES",
+            "NDMapping",
+            "RAW4D",
+            "RAS4D",
+            "OneP",
+            "RepeatedOneP",
+            "ThreeP",
+            "WSquaredP",
+            "OnePWRandom",
+            "nd_mapping_by_name",
+        ],
+        "repro.core.permutation": ["random_permutation"],
+        # congestion & theory
+        "repro.core.congestion": ["bank_loads", "warp_congestion", "congestion_batch"],
+        "repro.core.theory": ["lemma4_threshold", "theorem2_expectation_bound"],
+        "repro.core.exact": ["exact_expected_max_load"],
+        # machines
+        "repro.dmm.memory": ["BankedMemory"],
+        "repro.dmm.machine": ["DiscreteMemoryMachine"],
+        "repro.dmm.umm": ["UnifiedMemoryMachine"],
+        "repro.dmm.mmu": ["PipelinedMMU"],
+        "repro.dmm.trace": ["MemoryProgram", "read", "write"],
+        # access & kernels
+        "repro.access.patterns": ["PATTERN_NAMES", "pattern_logical", "pattern_addresses"],
+        "repro.access.transpose": [
+            "TRANSPOSE_NAMES",
+            "TransposeOutcome",
+            "run_transpose",
+            "transpose_program",
+        ],
+        "repro.gpu.kernel": ["SharedMemoryKernel", "transpose_kernel"],
+        "repro.gpu.matmul": ["run_matmul"],
+        "repro.gpu.timing": ["GPUTimingModel"],
+        # application workloads
+        "repro.apps.fft": ["run_fft"],
+        "repro.apps.scan": ["run_scan"],
+        "repro.apps.stencil": ["run_stencil"],
+        "repro.apps.global_transpose": ["run_global_transpose"],
+        "repro.apps.sort": ["run_bitonic_sort"],
+        "repro.apps.histogram": ["run_histogram"],
+        "repro.apps.gather": ["run_gather"],
+        # offline permutation
+        "repro.routing.offline": [
+            "hostile_permutation",
+            "random_data_permutation",
+            "run_offline_permutation",
+        ],
+        # experiments
+        "repro.sim.congestion_sim": [
+            "simulate_matrix_congestion",
+            "simulate_nd_congestion",
+        ],
+        "repro.sim.experiments": ["table1", "table2", "table3", "table4"],
+    },
+)

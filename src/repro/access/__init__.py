@@ -1,73 +1,48 @@
 """Access patterns and transpose algorithms built on the DMM substrate."""
 
-from repro.access.patterns import (
-    PATTERN_NAMES,
-    contiguous_logical,
-    diagonal_logical,
-    malicious_logical,
-    pattern_addresses,
-    pattern_logical,
-    random_logical,
-    stride_logical,
-)
-from repro.access.patterns_nd import (
-    ND_PATTERN_NAMES,
-    contiguous_nd,
-    malicious_accesses,
-    malicious_r1p,
-    nd_pattern_addresses,
-    nd_pattern_logical,
-    random_nd,
-    stride_nd,
-)
-from repro.access.inplace import (
-    InplaceTransposeOutcome,
-    inplace_transpose_program,
-    run_inplace_transpose,
-)
-from repro.access.strided import (
-    butterfly_positions,
-    raw_stride_congestion,
-    reduction_positions,
-    scan_positions,
-    strided_addresses,
-)
-from repro.access.transpose import (
-    TRANSPOSE_NAMES,
-    TransposeOutcome,
-    run_transpose,
-    transpose_indices,
-    transpose_program,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PATTERN_NAMES",
-    "contiguous_logical",
-    "stride_logical",
-    "diagonal_logical",
-    "random_logical",
-    "malicious_logical",
-    "pattern_logical",
-    "pattern_addresses",
-    "ND_PATTERN_NAMES",
-    "contiguous_nd",
-    "stride_nd",
-    "random_nd",
-    "malicious_r1p",
-    "malicious_accesses",
-    "nd_pattern_logical",
-    "nd_pattern_addresses",
-    "butterfly_positions",
-    "raw_stride_congestion",
-    "reduction_positions",
-    "scan_positions",
-    "strided_addresses",
-    "InplaceTransposeOutcome",
-    "inplace_transpose_program",
-    "run_inplace_transpose",
-    "TRANSPOSE_NAMES",
-    "TransposeOutcome",
-    "run_transpose",
-    "transpose_indices",
-    "transpose_program",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.access.patterns": [
+            "PATTERN_NAMES",
+            "contiguous_logical",
+            "stride_logical",
+            "diagonal_logical",
+            "random_logical",
+            "malicious_logical",
+            "pattern_logical",
+            "pattern_addresses",
+        ],
+        "repro.access.patterns_nd": [
+            "ND_PATTERN_NAMES",
+            "contiguous_nd",
+            "stride_nd",
+            "random_nd",
+            "malicious_r1p",
+            "malicious_accesses",
+            "nd_pattern_logical",
+            "nd_pattern_addresses",
+        ],
+        "repro.access.strided": [
+            "butterfly_positions",
+            "raw_stride_congestion",
+            "reduction_positions",
+            "scan_positions",
+            "strided_addresses",
+        ],
+        "repro.access.inplace": [
+            "InplaceTransposeOutcome",
+            "inplace_transpose_program",
+            "run_inplace_transpose",
+        ],
+        "repro.access.transpose": [
+            "TRANSPOSE_NAMES",
+            "TransposeOutcome",
+            "run_transpose",
+            "transpose_indices",
+            "transpose_program",
+        ],
+    },
+)

@@ -13,26 +13,21 @@ fast paths of the batched executor, the prover's enumeration
 fallback, and the certifier.
 """
 
-from repro.adversary.search import (
-    BUDGET_NAMES,
-    AdversaryResult,
-    AdversarySweep,
-    SearchBudget,
-    adversary_sweep,
-    assemble_pattern,
-    expected_worst_congestion,
-    find_worst_pattern,
-    pattern_congestions,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BUDGET_NAMES",
-    "AdversaryResult",
-    "AdversarySweep",
-    "SearchBudget",
-    "adversary_sweep",
-    "assemble_pattern",
-    "expected_worst_congestion",
-    "find_worst_pattern",
-    "pattern_congestions",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.adversary.search": [
+            "BUDGET_NAMES",
+            "AdversaryResult",
+            "AdversarySweep",
+            "SearchBudget",
+            "adversary_sweep",
+            "assemble_pattern",
+            "expected_worst_congestion",
+            "find_worst_pattern",
+            "pattern_congestions",
+        ],
+    },
+)

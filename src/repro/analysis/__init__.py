@@ -60,109 +60,68 @@ CLI surface: ``python -m repro prove``, ``python -m repro lint``,
 ``python -m repro plan`` (see :mod:`repro.analysis.cli`).
 """
 
-from repro.analysis.absint import (
-    ABSINT_FAMILIES,
-    METHOD_ABSINT,
-    CosetRecipe,
-    ForAllWCertificate,
-    IntCong,
-    ProgramAbstract,
-    StepAbstract,
-    WidthGenericProof,
-    abstract_step,
-    ap_bank_bound,
-    forall_w_matrix,
-    interpret_kernel,
-    interpret_program,
-    prove_pattern_forall_w,
-    prove_width_generic,
-    step_bound,
-    step_recipe,
-)
-from repro.analysis.affine import AffineAccess, affine_pattern
-from repro.analysis.certificates import (
-    ProgramCertificate,
-    StepCertificate,
-    certify_kernel,
-    certify_program,
-)
-from repro.analysis.ir import IRNode, ProgramIR, build_ir, kernel_ir
-from repro.analysis.lint import LintFinding, LintReport, lint_paths, lint_source
-from repro.analysis.plan import (
-    PLAN_FAMILIES,
-    CompiledPlan,
-    StepPlan,
-    check_family_shifts,
-    compile_plan,
-)
-from repro.analysis.prover import (
-    METHOD_ENUMERATE,
-    METHOD_SYMBOLIC,
-    CongestionProof,
-    prove_access,
-    prove_pattern,
-    symbolic_step,
-)
-from repro.analysis.verify import (
-    DIAGNOSTIC_CODES,
-    Diagnostic,
-    SanitizerReport,
-    VerificationError,
-    VerificationReport,
-    sanitize_program,
-    verify_kernel,
-    verify_program,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AffineAccess",
-    "affine_pattern",
-    "ABSINT_FAMILIES",
-    "METHOD_ABSINT",
-    "CosetRecipe",
-    "ForAllWCertificate",
-    "IntCong",
-    "ProgramAbstract",
-    "StepAbstract",
-    "WidthGenericProof",
-    "abstract_step",
-    "ap_bank_bound",
-    "forall_w_matrix",
-    "interpret_kernel",
-    "interpret_program",
-    "prove_pattern_forall_w",
-    "prove_width_generic",
-    "step_bound",
-    "step_recipe",
-    "CongestionProof",
-    "METHOD_ENUMERATE",
-    "METHOD_SYMBOLIC",
-    "prove_access",
-    "prove_pattern",
-    "symbolic_step",
-    "IRNode",
-    "ProgramIR",
-    "build_ir",
-    "kernel_ir",
-    "PLAN_FAMILIES",
-    "CompiledPlan",
-    "StepPlan",
-    "check_family_shifts",
-    "compile_plan",
-    "LintFinding",
-    "LintReport",
-    "lint_paths",
-    "lint_source",
-    "ProgramCertificate",
-    "StepCertificate",
-    "certify_kernel",
-    "certify_program",
-    "DIAGNOSTIC_CODES",
-    "Diagnostic",
-    "SanitizerReport",
-    "VerificationError",
-    "VerificationReport",
-    "sanitize_program",
-    "verify_kernel",
-    "verify_program",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.analysis.affine": ["AffineAccess", "affine_pattern"],
+        "repro.analysis.absint": [
+            "ABSINT_FAMILIES",
+            "METHOD_ABSINT",
+            "CosetRecipe",
+            "ForAllWCertificate",
+            "IntCong",
+            "ProgramAbstract",
+            "StepAbstract",
+            "WidthGenericProof",
+            "abstract_step",
+            "ap_bank_bound",
+            "forall_w_matrix",
+            "interpret_kernel",
+            "interpret_program",
+            "prove_pattern_forall_w",
+            "prove_width_generic",
+            "step_bound",
+            "step_recipe",
+        ],
+        "repro.analysis.prover": [
+            "CongestionProof",
+            "METHOD_ENUMERATE",
+            "METHOD_SYMBOLIC",
+            "prove_access",
+            "prove_pattern",
+            "symbolic_step",
+        ],
+        "repro.analysis.ir": ["IRNode", "ProgramIR", "build_ir", "kernel_ir"],
+        "repro.analysis.plan": [
+            "PLAN_FAMILIES",
+            "CompiledPlan",
+            "StepPlan",
+            "check_family_shifts",
+            "compile_plan",
+        ],
+        "repro.analysis.lint": [
+            "LintFinding",
+            "LintReport",
+            "lint_paths",
+            "lint_source",
+        ],
+        "repro.analysis.certificates": [
+            "ProgramCertificate",
+            "StepCertificate",
+            "certify_kernel",
+            "certify_program",
+        ],
+        "repro.analysis.verify": [
+            "DIAGNOSTIC_CODES",
+            "Diagnostic",
+            "SanitizerReport",
+            "VerificationError",
+            "VerificationReport",
+            "sanitize_program",
+            "verify_kernel",
+            "verify_program",
+        ],
+    },
+)

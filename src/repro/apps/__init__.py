@@ -15,43 +15,7 @@ data, and executes it with
 host-side between steps — so the certified program is the one that runs.
 """
 
-from repro.apps.fft import FFTOutcome, bit_reverse_indices, run_fft
-from repro.apps.gather import (
-    GATHER_DISTRIBUTIONS,
-    GatherOutcome,
-    make_indices,
-    run_gather,
-)
-from repro.apps.histogram import (
-    HISTOGRAM_STRATEGIES,
-    HistogramOutcome,
-    make_votes,
-    run_histogram,
-)
-from repro.apps.global_transpose import (
-    GLOBAL_STRATEGIES,
-    GlobalTransposeOutcome,
-    run_global_transpose,
-)
-from repro.apps.scan import ScanOutcome, run_scan
-from repro.apps.sort import SortOutcome, bitonic_pairs, run_bitonic_sort
-from repro.apps.spmv import (
-    SPMV_STRUCTURES,
-    EllMatrix,
-    SpmvOutcome,
-    make_ell,
-    run_spmv,
-)
-from repro.apps.stencil import STENCIL_ASSIGNMENTS, StencilOutcome, run_stencil
-from repro.apps.zoo import (
-    CfPermuteOutcome,
-    ShearsortOutcome,
-    route_permutation,
-    run_cf_permute,
-    run_shearsort,
-    shearsort_schedule,
-)
-
+from repro._lazy import lazy_exports
 from repro.apps import fft as _fft
 from repro.apps import gather as _gather
 from repro.apps import global_transpose as _global_transpose
@@ -136,42 +100,50 @@ def app_width_error(apps, w):
     return None
 
 
-__all__ = [
-    "BUILTIN_PROGRAMS",
-    "app_factory",
-    "app_width_error",
-    "build_app_program",
-    "FFTOutcome",
-    "bit_reverse_indices",
-    "run_fft",
-    "GATHER_DISTRIBUTIONS",
-    "GatherOutcome",
-    "make_indices",
-    "run_gather",
-    "GLOBAL_STRATEGIES",
-    "GlobalTransposeOutcome",
-    "run_global_transpose",
-    "HISTOGRAM_STRATEGIES",
-    "HistogramOutcome",
-    "make_votes",
-    "run_histogram",
-    "ScanOutcome",
-    "run_scan",
-    "SortOutcome",
-    "bitonic_pairs",
-    "run_bitonic_sort",
-    "SPMV_STRUCTURES",
-    "EllMatrix",
-    "SpmvOutcome",
-    "make_ell",
-    "run_spmv",
-    "STENCIL_ASSIGNMENTS",
-    "StencilOutcome",
-    "run_stencil",
-    "CfPermuteOutcome",
-    "ShearsortOutcome",
-    "route_permutation",
-    "run_cf_permute",
-    "run_shearsort",
-    "shearsort_schedule",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        __name__: [
+            "BUILTIN_PROGRAMS",
+            "app_factory",
+            "app_width_error",
+            "build_app_program",
+        ],
+        "repro.apps.fft": ["FFTOutcome", "bit_reverse_indices", "run_fft"],
+        "repro.apps.gather": [
+            "GATHER_DISTRIBUTIONS",
+            "GatherOutcome",
+            "make_indices",
+            "run_gather",
+        ],
+        "repro.apps.global_transpose": [
+            "GLOBAL_STRATEGIES",
+            "GlobalTransposeOutcome",
+            "run_global_transpose",
+        ],
+        "repro.apps.histogram": [
+            "HISTOGRAM_STRATEGIES",
+            "HistogramOutcome",
+            "make_votes",
+            "run_histogram",
+        ],
+        "repro.apps.scan": ["ScanOutcome", "run_scan"],
+        "repro.apps.sort": ["SortOutcome", "bitonic_pairs", "run_bitonic_sort"],
+        "repro.apps.spmv": [
+            "SPMV_STRUCTURES",
+            "EllMatrix",
+            "SpmvOutcome",
+            "make_ell",
+            "run_spmv",
+        ],
+        "repro.apps.stencil": ["STENCIL_ASSIGNMENTS", "StencilOutcome", "run_stencil"],
+        "repro.apps.zoo": [
+            "CfPermuteOutcome",
+            "ShearsortOutcome",
+            "route_permutation",
+            "run_cf_permute",
+            "run_shearsort",
+            "shearsort_schedule",
+        ],
+    },
+)

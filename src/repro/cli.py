@@ -78,7 +78,6 @@ import argparse
 import sys
 from typing import Sequence
 
-from repro.report.figures import ALL_FIGURES
 from repro.report.tables import (
     render_table1,
     render_table2,
@@ -94,6 +93,10 @@ __all__ = ["main", "build_parser", "run_experiment", "ANALYSIS_COMMANDS"]
 #: the experiment runner.
 ANALYSIS_COMMANDS = ("prove", "lint", "analyze", "certify", "plan")
 
+#: the keys of :data:`repro.report.figures.ALL_FIGURES`, in order; named
+#: here so building the parser does not import the figure code.
+FIGURE_NAMES = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7")
+
 
 #: argparse types: ``--workers`` (0 = all cores), ``--trials``, the widths and ``--seed``.
 _workers_arg = int_at_least(0, " (0 = all cores)")
@@ -104,7 +107,8 @@ _seed_arg = int_at_least(0)
 
 def _fabric_arg(value: str) -> "FabricSpec":
     """argparse type for ``--fabric``: a spec :func:`parse_fabric_spec` accepts."""
-    from repro.fabric import WORKER_BACKENDS, parse_fabric_spec
+    from repro.fabric.supervisor import parse_fabric_spec
+    from repro.fabric.workers import WORKER_BACKENDS
 
     try:
         return parse_fabric_spec(value)
@@ -197,7 +201,7 @@ def _run_offline(args) -> str:
     """Extension: offline permutation comparison."""
     from repro.core.mappings import RAPMapping
     from repro.report.tables import format_grid
-    from repro.routing import (
+    from repro.routing.offline import (
         hostile_permutation,
         random_data_permutation,
         run_offline_permutation,
@@ -259,6 +263,7 @@ def _run_report(args) -> str:
     raises them), the figure contents, and the extension scorecards,
     assembled as a single document: ``python -m repro report > REPORT.md``.
     """
+    from repro.report.figures import ALL_FIGURES
     from repro.sim.registry import EXPERIMENT_INDEX
 
     engine = _engine_from_args(args)
@@ -400,7 +405,9 @@ def _run_occupancy(args) -> str:
 
 def _run_apps(args) -> str:
     """Extension: FFT / scan / stencil scorecard."""
-    from repro.apps import run_fft, run_scan, run_stencil
+    from repro.apps.fft import run_fft
+    from repro.apps.scan import run_scan
+    from repro.apps.stencil import run_stencil
     from repro.core.mappings import RAPMapping, RAWMapping
     from repro.report.tables import format_grid
 
@@ -478,7 +485,7 @@ _TABLE_RUNNERS = {
     "apps": _run_apps,
 }
 
-EXPERIMENT_NAMES = tuple(_TABLE_RUNNERS) + tuple(ALL_FIGURES) + ("all",)
+EXPERIMENT_NAMES = tuple(_TABLE_RUNNERS) + FIGURE_NAMES + ("all",)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -632,7 +639,11 @@ def _cache_main(argv: Sequence[str]) -> int:
     args = parser.parse_args(list(argv))
     from repro.sim.cache import ResultCache
 
-    cache = ResultCache(root=args.cache_dir)
+    try:
+        cache = ResultCache(root=args.cache_dir)
+    except NotADirectoryError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.action == "stats":
         for field, value in cache.stats().items():
             print(f"{field}: {value}")
@@ -803,6 +814,11 @@ def _sweep_all_main(argv: Sequence[str]) -> int:
     # path, exactly like a journaled `repro all` run.
     args.experiment = "all"
     args.resume = not args.fresh
+    # The growth sweep's modules load here, before the first sweep
+    # starts, instead of between two sweeps.
+    import repro.report.ascii_plot  # noqa: F401
+    import repro.sim.sweep  # noqa: F401
+
     if args.journal is None:
         from repro.sim.cache import default_cache_dir
 
@@ -816,7 +832,7 @@ def _sweep_all_main(argv: Sequence[str]) -> int:
         if args.stats:
             print(_engine_from_args(args).collector.summary())
             print()
-    except JournalError as exc:
+    except (JournalError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
@@ -832,7 +848,9 @@ def run_experiment(name: str, args: argparse.Namespace) -> str:
     """Run one experiment by name and return its rendered text."""
     if name in _TABLE_RUNNERS:
         return _TABLE_RUNNERS[name](args)
-    if name in ALL_FIGURES:
+    if name in FIGURE_NAMES:
+        from repro.report.figures import ALL_FIGURES
+
         return ALL_FIGURES[name]().text
     raise ValueError(f"unknown experiment {name!r}")
 
@@ -860,7 +878,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _sweep_all_main(argv[1:])
     args = build_parser().parse_args(argv)
     names = (
-        list(_TABLE_RUNNERS) + list(ALL_FIGURES)
+        list(_TABLE_RUNNERS) + list(FIGURE_NAMES)
         if args.experiment == "all"
         else [args.experiment]
     )
@@ -873,7 +891,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.stats:
             print(_engine_from_args(args).collector.summary())
             print()
-    except JournalError as exc:
+    except (JournalError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:  # e.g. `python -m repro table2 | head`

@@ -4,147 +4,84 @@ Re-exports the public surface of the :mod:`repro.core` subpackage; see
 the individual modules for the detailed model documentation.
 """
 
-from repro.core.congestion import (
-    bank_loads,
-    bank_loads_batch,
-    congestion_batch,
-    merge_requests,
-    warp_congestion,
-)
-from repro.core.derand import (
-    adversarial_pattern_for,
-    exhaustive_best,
-    optimize_permutation,
-    pattern_set_congestion,
-)
-from repro.core.exact import (
-    exact_expected_max_load,
-    exact_max_load_cdf,
-    exact_max_load_pmf,
-)
-from repro.core.higher_dim import (
-    ND_MAPPING_NAMES,
-    NDMapping,
-    OneP,
-    OnePWRandom,
-    RAS4D,
-    RAW4D,
-    RepeatedOneP,
-    ThreeP,
-    WSquaredP,
-    nd_mapping_by_name,
-)
-from repro.core.mappings import (
-    MAPPING_NAMES,
-    AddressMapping,
-    RAPMapping,
-    RASMapping,
-    RAWMapping,
-    ShiftedRowMapping,
-    mapping_by_name,
-)
-from repro.core.ndim_general import GeneralNDMapping
-from repro.core.padded import PaddedMapping, antidiagonal_logical
-from repro.core.permutation import (
-    compose_permutations,
-    identity_permutation,
-    invert_permutation,
-    is_permutation,
-    random_permutation,
-    random_shifts,
-    require_permutation,
-    rotation_permutation,
-)
-from repro.core.serialize import (
-    dumps_mapping,
-    loads_mapping,
-    mapping_from_dict,
-    mapping_to_dict,
-)
-from repro.core.swizzle import XORSwizzleMapping, xor_adversarial_logical
-from repro.core.register_pack import (
-    pack_shifts,
-    required_words,
-    unpack_all,
-    unpack_shift,
-    values_per_word,
-)
-from repro.core.theory import (
-    chernoff_upper_tail,
-    expected_max_load,
-    lemma4_tail_bound,
-    lemma4_threshold,
-    log_over_loglog,
-    pairwise_conflict_probability,
-    theorem2_expectation_bound,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    # congestion
-    "bank_loads",
-    "bank_loads_batch",
-    "congestion_batch",
-    "merge_requests",
-    "warp_congestion",
-    # derandomization
-    "adversarial_pattern_for",
-    "exhaustive_best",
-    "optimize_permutation",
-    "pattern_set_congestion",
-    # exact theory
-    "exact_expected_max_load",
-    "exact_max_load_cdf",
-    "exact_max_load_pmf",
-    # general-rank + padded mappings
-    "GeneralNDMapping",
-    "PaddedMapping",
-    "antidiagonal_logical",
-    "XORSwizzleMapping",
-    "xor_adversarial_logical",
-    "dumps_mapping",
-    "loads_mapping",
-    "mapping_from_dict",
-    "mapping_to_dict",
-    # 2-D mappings
-    "MAPPING_NAMES",
-    "AddressMapping",
-    "ShiftedRowMapping",
-    "RAWMapping",
-    "RASMapping",
-    "RAPMapping",
-    "mapping_by_name",
-    # 4-D mappings
-    "ND_MAPPING_NAMES",
-    "NDMapping",
-    "RAW4D",
-    "RAS4D",
-    "OneP",
-    "RepeatedOneP",
-    "ThreeP",
-    "WSquaredP",
-    "OnePWRandom",
-    "nd_mapping_by_name",
-    # permutations
-    "random_permutation",
-    "random_shifts",
-    "is_permutation",
-    "require_permutation",
-    "identity_permutation",
-    "rotation_permutation",
-    "invert_permutation",
-    "compose_permutations",
-    # register packing
-    "pack_shifts",
-    "unpack_shift",
-    "unpack_all",
-    "required_words",
-    "values_per_word",
-    # theory
-    "chernoff_upper_tail",
-    "lemma4_threshold",
-    "lemma4_tail_bound",
-    "theorem2_expectation_bound",
-    "log_over_loglog",
-    "expected_max_load",
-    "pairwise_conflict_probability",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.congestion": [
+            "bank_loads",
+            "bank_loads_batch",
+            "congestion_batch",
+            "merge_requests",
+            "warp_congestion",
+        ],
+        "repro.core.derand": [
+            "adversarial_pattern_for",
+            "exhaustive_best",
+            "optimize_permutation",
+            "pattern_set_congestion",
+        ],
+        "repro.core.exact": [
+            "exact_expected_max_load",
+            "exact_max_load_cdf",
+            "exact_max_load_pmf",
+        ],
+        "repro.core.ndim_general": ["GeneralNDMapping"],
+        "repro.core.padded": ["PaddedMapping", "antidiagonal_logical"],
+        "repro.core.swizzle": ["XORSwizzleMapping", "xor_adversarial_logical"],
+        "repro.core.serialize": [
+            "dumps_mapping",
+            "loads_mapping",
+            "mapping_from_dict",
+            "mapping_to_dict",
+        ],
+        "repro.core.mappings": [
+            "MAPPING_NAMES",
+            "AddressMapping",
+            "ShiftedRowMapping",
+            "RAWMapping",
+            "RASMapping",
+            "RAPMapping",
+            "mapping_by_name",
+        ],
+        "repro.core.higher_dim": [
+            "ND_MAPPING_NAMES",
+            "NDMapping",
+            "RAW4D",
+            "RAS4D",
+            "OneP",
+            "RepeatedOneP",
+            "ThreeP",
+            "WSquaredP",
+            "OnePWRandom",
+            "nd_mapping_by_name",
+        ],
+        "repro.core.permutation": [
+            "random_permutation",
+            "random_shifts",
+            "is_permutation",
+            "require_permutation",
+            "identity_permutation",
+            "rotation_permutation",
+            "invert_permutation",
+            "compose_permutations",
+        ],
+        "repro.core.register_pack": [
+            "pack_shifts",
+            "unpack_shift",
+            "unpack_all",
+            "required_words",
+            "values_per_word",
+        ],
+        "repro.core.theory": [
+            "chernoff_upper_tail",
+            "lemma4_threshold",
+            "lemma4_tail_bound",
+            "theorem2_expectation_bound",
+            "log_over_loglog",
+            "expected_max_load",
+            "pairwise_conflict_probability",
+        ],
+    },
+)

@@ -1,52 +1,39 @@
 """The Discrete Memory Machine substrate: memory, warps, pipeline, executor."""
 
-from repro.dmm.batched import (
-    BatchedDMM,
-    BatchedExecutionResult,
-    BatchedInstruction,
-    BatchedInstructionTrace,
-    BatchedProgram,
-)
-from repro.dmm.event_sim import EventDrivenDMM, EventExecutionResult
-from repro.dmm.machine import (
-    DiscreteMemoryMachine,
-    ExecutionResult,
-    InstructionTrace,
-)
-from repro.dmm.memory import BankedMemory, BatchedMemory
-from repro.dmm.mmu import PipelinedMMU, StageSchedule, batch_completion_times
-from repro.dmm.trace import INACTIVE, Instruction, MemoryProgram, read, write
-from repro.dmm.umm import UnifiedMemoryMachine, coalesced_group_count
-from repro.dmm.validation import InvariantViolation, check_execution_invariants
-from repro.dmm.warp import dispatch_order, warp_count, warp_members, warp_slices
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DiscreteMemoryMachine",
-    "EventDrivenDMM",
-    "EventExecutionResult",
-    "UnifiedMemoryMachine",
-    "ExecutionResult",
-    "InstructionTrace",
-    "BankedMemory",
-    "BatchedMemory",
-    "BatchedDMM",
-    "BatchedExecutionResult",
-    "BatchedInstruction",
-    "BatchedInstructionTrace",
-    "BatchedProgram",
-    "PipelinedMMU",
-    "StageSchedule",
-    "batch_completion_times",
-    "INACTIVE",
-    "Instruction",
-    "MemoryProgram",
-    "read",
-    "write",
-    "coalesced_group_count",
-    "InvariantViolation",
-    "check_execution_invariants",
-    "dispatch_order",
-    "warp_count",
-    "warp_members",
-    "warp_slices",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.dmm.machine": [
+            "DiscreteMemoryMachine",
+            "ExecutionResult",
+            "InstructionTrace",
+        ],
+        "repro.dmm.event_sim": ["EventDrivenDMM", "EventExecutionResult"],
+        "repro.dmm.umm": ["UnifiedMemoryMachine", "coalesced_group_count"],
+        "repro.dmm.memory": ["BankedMemory", "BatchedMemory"],
+        "repro.dmm.batched": [
+            "BatchedDMM",
+            "BatchedExecutionResult",
+            "BatchedInstruction",
+            "BatchedInstructionTrace",
+            "BatchedProgram",
+        ],
+        "repro.dmm.mmu": ["PipelinedMMU", "StageSchedule", "batch_completion_times"],
+        "repro.dmm.trace": [
+            "INACTIVE",
+            "Instruction",
+            "MemoryProgram",
+            "read",
+            "write",
+        ],
+        "repro.dmm.validation": ["InvariantViolation", "check_execution_invariants"],
+        "repro.dmm.warp": [
+            "dispatch_order",
+            "warp_count",
+            "warp_members",
+            "warp_slices",
+        ],
+    },
+)

@@ -20,46 +20,32 @@ on the CLI.  See ``docs/ENGINE.md`` ("Fault tolerance: one shard
 supervisor").
 """
 
-from repro.fabric.supervisor import (
-    CoordinatorKilled,
-    CorruptResult,
-    FabricSpec,
-    FabricStalled,
-    FabricSupervisor,
-    LeaseLost,
-    ShardQuarantined,
-    parse_fabric_spec,
-)
-from repro.fabric.workers import (
-    WORKER_BACKENDS,
-    FabricCall,
-    InProcessWorker,
-    PoolWorker,
-    Worker,
-    decode_result,
-    encode_result,
-    execute_fabric_call,
-    open_envelope,
-    seal_envelope,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CoordinatorKilled",
-    "CorruptResult",
-    "FabricCall",
-    "FabricSpec",
-    "FabricStalled",
-    "FabricSupervisor",
-    "InProcessWorker",
-    "LeaseLost",
-    "PoolWorker",
-    "ShardQuarantined",
-    "WORKER_BACKENDS",
-    "Worker",
-    "decode_result",
-    "encode_result",
-    "execute_fabric_call",
-    "open_envelope",
-    "parse_fabric_spec",
-    "seal_envelope",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.fabric.supervisor": [
+            "CoordinatorKilled",
+            "CorruptResult",
+            "FabricSpec",
+            "FabricStalled",
+            "FabricSupervisor",
+            "LeaseLost",
+            "ShardQuarantined",
+            "parse_fabric_spec",
+        ],
+        "repro.fabric.workers": [
+            "FabricCall",
+            "InProcessWorker",
+            "PoolWorker",
+            "WORKER_BACKENDS",
+            "Worker",
+            "decode_result",
+            "encode_result",
+            "execute_fabric_call",
+            "open_envelope",
+            "seal_envelope",
+        ],
+    },
+)

@@ -67,8 +67,8 @@ from __future__ import annotations
 
 import re
 import time
+from concurrent.futures import BrokenExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -479,8 +479,9 @@ class FabricSupervisor:
                     raise error
                 budget = None if fl.due is None else max(0.0, fl.due - time.monotonic())
                 envelope = slot.backend.result(timeout=budget)
-            except (BrokenProcessPool, WorkerKilled) as exc:
-                # The *worker* died: not the shard's fault.
+            except (BrokenExecutor, WorkerKilled) as exc:
+                # The *worker* died: not the shard's fault.  A dead pool
+                # raises BrokenProcessPool, a BrokenExecutor.
                 kill_slot(slot)
                 fail(slot, fl, "worker-died", exc)
                 return
@@ -643,7 +644,7 @@ class FabricSupervisor:
                     fl.due = time.monotonic() + timeout
                 try:
                     slot.backend.submit(call)
-                except (BrokenProcessPool, OSError, RuntimeError) as exc:
+                except (OSError, RuntimeError) as exc:  # incl. BrokenProcessPool
                     submit_errors[slot.id] = exc
             for slot, fl in completing:
                 slot.inflight = None

@@ -33,15 +33,16 @@ backends.
 from __future__ import annotations
 
 import base64
-import multiprocessing
 import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Any, Callable, Protocol, runtime_checkable
 
 from repro.resilience.faults import FaultPlan, WorkerKilled, inject_shard_fault
 from repro.resilience.journal import record_checksum
+
+if TYPE_CHECKING:  # pragma: no cover
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "FabricCall",
@@ -238,6 +239,11 @@ class PoolWorker:
     kind = "pool"
 
     def __init__(self, worker_id: int) -> None:
+        # Imported here so that in-process runs never load the
+        # process-pool machinery.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         self.worker_id = worker_id
         methods = multiprocessing.get_all_start_methods()
         context = multiprocessing.get_context("fork" if "fork" in methods else None)

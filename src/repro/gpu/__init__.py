@@ -1,44 +1,30 @@
 """GPU kernel abstraction and the calibrated timing model (Table III)."""
 
-from repro.gpu.analyzer import (
-    KernelDiagnosis,
-    StepDiagnosis,
-    analyze_kernel,
-    default_candidates,
-)
-from repro.gpu.kernel import (
-    KernelReport,
-    KernelStep,
-    SharedMemoryKernel,
-    transpose_kernel,
-)
-from repro.gpu.matmul import MATMUL_VARIANTS, MatmulOutcome, run_matmul
-from repro.gpu.occupancy import (
-    SHARED_MEMORY_BYTES_GTX_TITAN,
-    TileBudget,
-    occupancy_report,
-    sm_throughput,
-    tiles_that_fit,
-)
-from repro.gpu.timing import PAPER_TABLE3_NS, GPUTimingModel
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "KernelDiagnosis",
-    "StepDiagnosis",
-    "analyze_kernel",
-    "default_candidates",
-    "KernelReport",
-    "KernelStep",
-    "SharedMemoryKernel",
-    "transpose_kernel",
-    "MATMUL_VARIANTS",
-    "MatmulOutcome",
-    "run_matmul",
-    "SHARED_MEMORY_BYTES_GTX_TITAN",
-    "TileBudget",
-    "occupancy_report",
-    "sm_throughput",
-    "tiles_that_fit",
-    "PAPER_TABLE3_NS",
-    "GPUTimingModel",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.gpu.analyzer": [
+            "KernelDiagnosis",
+            "StepDiagnosis",
+            "analyze_kernel",
+            "default_candidates",
+        ],
+        "repro.gpu.kernel": [
+            "KernelReport",
+            "KernelStep",
+            "SharedMemoryKernel",
+            "transpose_kernel",
+        ],
+        "repro.gpu.matmul": ["MATMUL_VARIANTS", "MatmulOutcome", "run_matmul"],
+        "repro.gpu.occupancy": [
+            "SHARED_MEMORY_BYTES_GTX_TITAN",
+            "TileBudget",
+            "occupancy_report",
+            "sm_throughput",
+            "tiles_that_fit",
+        ],
+        "repro.gpu.timing": ["PAPER_TABLE3_NS", "GPUTimingModel"],
+    },
+)

@@ -1,50 +1,31 @@
 """Rendering of regenerated tables and figures."""
 
-from repro.report.figures import (
-    ALL_FIGURES,
-    Figure,
-    figure1,
-    figure2,
-    figure3,
-    figure4,
-    figure5,
-    figure6,
-    figure7,
-)
-from repro.report.ascii_plot import bar_chart, line_chart
-from repro.report.heatmap import bank_heatmap, load_glyph, render_heatmap
-from repro.report.run_stats import RunStatsCollector, ShardRecord
-from repro.report.timeline import instruction_timeline, render_timeline
-from repro.report.tables import (
-    format_grid,
-    render_table1,
-    render_table2,
-    render_table3,
-    render_table4,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ALL_FIGURES",
-    "Figure",
-    "figure1",
-    "figure2",
-    "figure3",
-    "figure4",
-    "figure5",
-    "figure6",
-    "figure7",
-    "bar_chart",
-    "line_chart",
-    "RunStatsCollector",
-    "ShardRecord",
-    "instruction_timeline",
-    "render_timeline",
-    "bank_heatmap",
-    "load_glyph",
-    "render_heatmap",
-    "format_grid",
-    "render_table1",
-    "render_table2",
-    "render_table3",
-    "render_table4",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.report.figures": [
+            "ALL_FIGURES",
+            "Figure",
+            "figure1",
+            "figure2",
+            "figure3",
+            "figure4",
+            "figure5",
+            "figure6",
+            "figure7",
+        ],
+        "repro.report.ascii_plot": ["bar_chart", "line_chart"],
+        "repro.report.run_stats": ["RunStatsCollector", "ShardRecord"],
+        "repro.report.timeline": ["instruction_timeline", "render_timeline"],
+        "repro.report.heatmap": ["bank_heatmap", "load_glyph", "render_heatmap"],
+        "repro.report.tables": [
+            "format_grid",
+            "render_table1",
+            "render_table2",
+            "render_table3",
+            "render_table4",
+        ],
+    },
+)

@@ -18,8 +18,7 @@ Modules
     :class:`ShardSupervisor` — the default supervisor of
     :class:`repro.sim.engine.MonteCarloEngine`: the one lease loop of
     :class:`repro.fabric.FabricSupervisor` on ``--workers N`` local
-    workers.  Loaded on first use, because :mod:`repro.fabric` imports
-    this package.
+    workers.
 :mod:`repro.resilience.faults`
     The deterministic chaos harness: :class:`FaultPlan` schedules and
     the builtin plans the property tests run.
@@ -28,59 +27,34 @@ Modules
     long sweeps (``--resume``).
 """
 
-from repro.resilience.faults import (
-    BUILTIN_FAULT_PLANS,
-    BUILTIN_WORKER_FAULT_PLANS,
-    FaultPlan,
-    InjectedCrash,
-    InjectedFault,
-    ShardFault,
-    SimulatedTimeout,
-    WorkerFault,
-    WorkerKilled,
-    builtin_fault_plan,
-    builtin_worker_fault_plan,
+from repro._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.resilience.faults": [
+            "BUILTIN_FAULT_PLANS",
+            "BUILTIN_WORKER_FAULT_PLANS",
+            "FaultPlan",
+            "InjectedCrash",
+            "InjectedFault",
+            "ShardFault",
+            "SimulatedTimeout",
+            "WorkerFault",
+            "WorkerKilled",
+            "builtin_fault_plan",
+            "builtin_worker_fault_plan",
+        ],
+        "repro.resilience.journal": [
+            "JournalError",
+            "JournalMismatch",
+            "JournalReport",
+            "SweepJournal",
+            "record_checksum",
+            "tail_records",
+            "verify_journal",
+        ],
+        "repro.resilience.policy": ["RetryPolicy", "ShardFailure", "deterministic_jitter"],
+        "repro.resilience.supervisor": ["ShardSupervisor"],
+    },
 )
-from repro.resilience.journal import (
-    JournalError,
-    JournalMismatch,
-    JournalReport,
-    SweepJournal,
-    record_checksum,
-    tail_records,
-    verify_journal,
-)
-from repro.resilience.policy import RetryPolicy, ShardFailure, deterministic_jitter
-
-__all__ = [
-    "BUILTIN_FAULT_PLANS",
-    "BUILTIN_WORKER_FAULT_PLANS",
-    "FaultPlan",
-    "InjectedCrash",
-    "InjectedFault",
-    "JournalError",
-    "JournalMismatch",
-    "JournalReport",
-    "RetryPolicy",
-    "ShardFailure",
-    "ShardFault",
-    "ShardSupervisor",
-    "SimulatedTimeout",
-    "SweepJournal",
-    "WorkerFault",
-    "WorkerKilled",
-    "builtin_fault_plan",
-    "builtin_worker_fault_plan",
-    "deterministic_jitter",
-    "record_checksum",
-    "tail_records",
-    "verify_journal",
-]
-
-
-def __getattr__(name: str):
-    if name == "ShardSupervisor":
-        from repro.resilience.supervisor import ShardSupervisor
-
-        return ShardSupervisor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,22 +1,18 @@
 """Offline permutation routing: the graph-coloring schedule vs RAP."""
 
-from repro.routing.coloring import edge_color_bipartite, validate_coloring
-from repro.routing.offline import (
-    OfflinePermutationOutcome,
-    hostile_permutation,
-    naive_permutation_program,
-    random_data_permutation,
-    run_offline_permutation,
-    scheduled_permutation_program,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "edge_color_bipartite",
-    "validate_coloring",
-    "OfflinePermutationOutcome",
-    "hostile_permutation",
-    "naive_permutation_program",
-    "random_data_permutation",
-    "run_offline_permutation",
-    "scheduled_permutation_program",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.routing.coloring": ["edge_color_bipartite", "validate_coloring"],
+        "repro.routing.offline": [
+            "OfflinePermutationOutcome",
+            "hostile_permutation",
+            "naive_permutation_program",
+            "random_data_permutation",
+            "run_offline_permutation",
+            "scheduled_permutation_program",
+        ],
+    },
+)

@@ -22,8 +22,6 @@ from __future__ import annotations
 from collections import Counter
 from typing import Sequence
 
-import networkx as nx
-
 from repro.util.validation import check_positive_int
 
 __all__ = ["edge_color_bipartite", "edge_color_euler", "validate_coloring"]
@@ -92,6 +90,8 @@ def _perfect_matching(
     one perfect matching per color), so by Hall's theorem a perfect
     matching always exists on its support.
     """
+    import networkx as nx
+
     graph = nx.Graph()
     left_nodes = [("L", u) for u in lefts]
     graph.add_nodes_from(left_nodes, bipartite=0)

@@ -1,65 +1,42 @@
 """Monte-Carlo simulation harness and the experiment registry."""
 
-from repro.sim.cache import ResultCache
-from repro.sim.congestion_sim import (
-    CongestionStats,
-    RunningStats,
-    simulate_matrix_congestion,
-    simulate_nd_congestion,
-)
-from repro.sim.distributions import (
-    CongestionDistribution,
-    congestion_distribution,
-)
-from repro.sim.engine import DEFAULT_SHARDS, MonteCarloEngine
-from repro.sim.registry import EXPERIMENT_INDEX, Experiment
-from repro.sim.sweep import (
-    GrowthSweep,
-    LatencySweep,
-    growth_sweep,
-    latency_sweep,
-)
-from repro.sim.experiments import (
-    PAPER_TABLE2,
-    PAPER_TABLE4_CLASSES,
-    TABLE2_WIDTHS,
-    Table1Result,
-    Table2Result,
-    Table3Result,
-    Table3Row,
-    Table4Result,
-    table1,
-    table2,
-    table3,
-    table4,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CongestionStats",
-    "CongestionDistribution",
-    "congestion_distribution",
-    "DEFAULT_SHARDS",
-    "MonteCarloEngine",
-    "ResultCache",
-    "RunningStats",
-    "EXPERIMENT_INDEX",
-    "Experiment",
-    "GrowthSweep",
-    "LatencySweep",
-    "growth_sweep",
-    "latency_sweep",
-    "simulate_matrix_congestion",
-    "simulate_nd_congestion",
-    "PAPER_TABLE2",
-    "PAPER_TABLE4_CLASSES",
-    "TABLE2_WIDTHS",
-    "Table1Result",
-    "Table2Result",
-    "Table3Result",
-    "Table3Row",
-    "Table4Result",
-    "table1",
-    "table2",
-    "table3",
-    "table4",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.sim.congestion_sim": [
+            "CongestionStats",
+            "RunningStats",
+            "simulate_matrix_congestion",
+            "simulate_nd_congestion",
+        ],
+        "repro.sim.distributions": [
+            "CongestionDistribution",
+            "congestion_distribution",
+        ],
+        "repro.sim.engine": ["DEFAULT_SHARDS", "MonteCarloEngine"],
+        "repro.sim.cache": ["ResultCache"],
+        "repro.sim.registry": ["EXPERIMENT_INDEX", "Experiment"],
+        "repro.sim.sweep": [
+            "GrowthSweep",
+            "LatencySweep",
+            "growth_sweep",
+            "latency_sweep",
+        ],
+        "repro.sim.experiments": [
+            "PAPER_TABLE2",
+            "PAPER_TABLE4_CLASSES",
+            "TABLE2_WIDTHS",
+            "Table1Result",
+            "Table2Result",
+            "Table3Result",
+            "Table3Row",
+            "Table4Result",
+            "table1",
+            "table2",
+            "table3",
+            "table4",
+        ],
+    },
+)

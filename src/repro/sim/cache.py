@@ -147,7 +147,9 @@ class ResultCache:
     ----------
     root:
         Cache directory (created lazily).  Defaults to
-        :func:`default_cache_dir`.
+        :func:`default_cache_dir`.  A path that is, or lies under, an
+        existing non-directory raises :class:`NotADirectoryError` here,
+        before any work whose result could not be stored.
     faults:
         Optional :class:`~repro.resilience.faults.FaultPlan`; its
         ``tear_puts`` / ``corrupt_puts`` schedules sabotage writes for
@@ -173,6 +175,11 @@ class ResultCache:
         tmp_grace: float = DEFAULT_TMP_GRACE,
     ) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
+        # The root itself is made on the first put; a path that can
+        # never become a directory is refused now, before any work.
+        existing = next(p for p in (self.root, *self.root.parents) if p.exists())
+        if not existing.is_dir():
+            raise NotADirectoryError(f"cache root {self.root} is not a directory")
         self.hits = 0
         self.misses = 0
         self.quarantined = 0

@@ -45,13 +45,12 @@ from time import perf_counter
 from typing import TYPE_CHECKING, Callable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.report.run_stats import RunStatsCollector
+    from repro.fabric.supervisor import FabricSpec, FabricSupervisor
     from repro.resilience.journal import SweepJournal
 
-from repro.fabric import FabricSpec, FabricSupervisor, parse_fabric_spec
+from repro.report.run_stats import RunStatsCollector
 from repro.resilience.faults import FaultPlan
 from repro.resilience.policy import RetryPolicy
-from repro.resilience.supervisor import ShardSupervisor
 from repro.sim.cache import ResultCache
 from repro.sim.congestion_sim import (
     CongestionStats,
@@ -160,17 +159,12 @@ class MonteCarloEngine:
         workers: int | None = 1,
         cache: ResultCache | bool | None = None,
         shards: int | None = None,
-        collector: "RunStatsCollector | None" = None,
+        collector: RunStatsCollector | None = None,
         policy: RetryPolicy | None = None,
         faults: FaultPlan | None = None,
         fabric: "FabricSpec | str | None" = None,
         fabric_journal: "SweepJournal | None" = None,
     ) -> None:
-        # Imported here, not at module level: repro.report's package
-        # init pulls in the table renderers, which import
-        # repro.sim.experiments, which imports this module.
-        from repro.report.run_stats import RunStatsCollector
-
         self.workers = resolve_workers(workers)
         if cache is True:
             cache = ResultCache()
@@ -183,11 +177,15 @@ class MonteCarloEngine:
         self.faults = faults
         self._supervisor: FabricSupervisor
         if fabric is None:
+            from repro.resilience.supervisor import ShardSupervisor
+
             self.fabric = None
             self._supervisor = ShardSupervisor(
                 self.workers, self.policy, self.collector, self.faults
             )
         else:
+            from repro.fabric.supervisor import FabricSupervisor, parse_fabric_spec
+
             if isinstance(fabric, str):
                 fabric = parse_fabric_spec(fabric)
             self.fabric = fabric

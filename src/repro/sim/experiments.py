@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.fabric import FabricSpec
+    from repro.fabric.supervisor import FabricSpec
     from repro.gpu.kernel import SharedMemoryKernel
     from repro.resilience.journal import SweepJournal
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.fabric import FabricSpec
+    from repro.fabric.supervisor import FabricSpec
     from repro.resilience.journal import SweepJournal
 
 from repro.access.transpose import run_transpose

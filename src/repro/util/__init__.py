@@ -1,29 +1,23 @@
 """Shared utilities: RNG handling and argument validation."""
 
-from repro.util.rng import (
-    as_generator,
-    as_seed_sequence,
-    seed_fingerprint,
-    spawn_generators,
-    spawn_seed_sequences,
-)
-from repro.util.validation import (
-    check_bank_count,
-    check_latency,
-    check_nonnegative_int,
-    check_positive_int,
-    check_power_of_two,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "as_generator",
-    "as_seed_sequence",
-    "seed_fingerprint",
-    "spawn_generators",
-    "spawn_seed_sequences",
-    "check_bank_count",
-    "check_latency",
-    "check_nonnegative_int",
-    "check_positive_int",
-    "check_power_of_two",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.util.rng": [
+            "as_generator",
+            "as_seed_sequence",
+            "seed_fingerprint",
+            "spawn_generators",
+            "spawn_seed_sequences",
+        ],
+        "repro.util.validation": [
+            "check_bank_count",
+            "check_latency",
+            "check_nonnegative_int",
+            "check_positive_int",
+            "check_power_of_two",
+        ],
+    },
+)

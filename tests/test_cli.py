@@ -2,7 +2,16 @@
 
 import pytest
 
-from repro.cli import EXPERIMENT_NAMES, build_parser, main, run_experiment
+from repro.cli import (
+    EXPERIMENT_NAMES,
+    FIGURE_NAMES,
+    build_parser,
+    main,
+    run_experiment,
+)
+from repro.report.figures import ALL_FIGURES
+from repro.resilience.faults import BUILTIN_WORKER_FAULT_PLANS
+from repro.sim.engine import MonteCarloEngine
 
 
 class TestParser:
@@ -29,6 +38,15 @@ class TestParser:
 
     def test_all_is_a_choice(self):
         assert "all" in EXPERIMENT_NAMES
+
+    def test_figure_names_are_the_figures(self):
+        """The parser names the figures without importing their code."""
+        assert FIGURE_NAMES == tuple(ALL_FIGURES)
+
+    def test_chaos_help_lists_every_worker_fault_plan(self):
+        (chaos,) = [a for a in build_parser()._actions if a.dest == "chaos"]
+        for name in BUILTIN_WORKER_FAULT_PLANS:
+            assert name in chaos.help
 
 
 class TestRunExperiment:
@@ -152,6 +170,56 @@ def _assert_usage_error(argv, flag, capsys):
     assert "Traceback" not in err
     (line,) = [ln for ln in err.splitlines() if "error:" in ln]
     assert f"argument {flag}:" in line
+
+
+class TestCacheRootNotADirectory:
+    """A cache root that exists but is not a directory exits 2 with one
+    error line when the cache is built, before any cell runs -- not
+    with a traceback from the first cache write."""
+
+    @pytest.fixture(params=["file", "under-a-file"])
+    def file_root(self, request, tmp_path, monkeypatch):
+        root = tmp_path / "cache-file"
+        root.write_text("")
+        if request.param == "under-a-file":
+            root = root / "cache"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
+
+        def no_cells(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(MonteCarloEngine, "_run", no_cells)
+        return root
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table2", "--trials", "3", "--widths", "16"],
+            ["sweep-all", "--trials", "3", "--widths", "16"],
+            ["cache", "stats"],
+            ["cache", "verify"],
+        ],
+    )
+    def test_exits_2_with_one_line(self, file_root, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: cache root {file_root} is not a directory\n"
+        )
+
+    def test_cache_dir_flag_is_checked_too(self, tmp_path, capsys):
+        root = tmp_path / "cache-file"
+        root.write_text("")
+        assert main(["cache", "stats", "--cache-dir", str(root)]) == 2
+        assert "is not a directory" in capsys.readouterr().err
+
+    def test_no_cache_builds_no_cache(self, tmp_path, monkeypatch, capsys):
+        root = tmp_path / "cache-file"
+        root.write_text("")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
+        assert main(["table2", "--trials", "3", "--widths", "16", "--no-cache"]) == 0
+        assert "Table II" in capsys.readouterr().out
 
 
 class TestMarkdownFormat:
