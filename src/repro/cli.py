@@ -85,6 +85,7 @@ from repro.report.tables import (
     render_table4,
 )
 from repro.sim.experiments import table1, table2, table3, table4
+from repro.util.heap import retain_heap
 from repro.util.validation import int_at_least
 
 __all__ = ["main", "build_parser", "run_experiment", "ANALYSIS_COMMANDS"]
@@ -857,6 +858,7 @@ def run_experiment(name: str, args: argparse.Namespace) -> str:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
+    retain_heap()
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] in ANALYSIS_COMMANDS:
         from repro.analysis.cli import main as analysis_main

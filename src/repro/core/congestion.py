@@ -25,7 +25,8 @@ Both batch functions sort each row once to merge duplicates, then
 histogram the banks of the merged requests with one bincount over
 ``row * w + bank`` — the bank-load view of a warp access.  Rows are
 processed in blocks of about 32K addresses so every temporary stays
-in cache, sorted as int32 when the block's addresses fit.
+in cache, sorted as uint16 when the batch arrives in 16 bits, else as
+int32 when the block's addresses fit.
 
 Both batch functions accept ``inactive=<sentinel>`` so the executors
 can feed whole instructions through one call: lanes holding the
@@ -123,17 +124,28 @@ def _bank_load_blocks(addresses: np.ndarray, w: int, inactive: int | None):
     addresses and histogram bins, so its temporaries stay in cache.
     Each row is sorted once to find its first occurrences (the merged
     requests); their banks, offset by ``row * w``, feed one bincount.
+    A uint16 batch (the Monte-Carlo sampler stages Table II that way)
+    stays in 16 bits through the sort, the bank mask and the row
+    offsets, whose ``b * w`` bins number at most
+    :data:`_BLOCK_ADDRESSES` when ``w`` does; other blocks are sorted
+    as int32 when their addresses and bins fit, else as int64.
     """
     n, k = addresses.shape
     block = max(1, _BLOCK_ADDRESSES // max(k, w))
     fits = np.can_cast(addresses.dtype, np.int32)
+    keep16 = addresses.dtype == np.uint16 and w <= _BLOCK_ADDRESSES
     for start in range(0, n, block):
         rows = addresses[start:start + block]
         b = rows.shape[0]
-        narrow = b * w <= _I32.max and (
+        if keep16:
+            staged = np.uint16
+        elif b * w <= _I32.max and (
             fits or (rows.min() >= _I32.min and rows.max() <= _I32.max)
-        )
-        srt = rows.astype(np.int32 if narrow else np.int64)
+        ):
+            staged = np.int32
+        else:
+            staged = np.int64
+        srt = rows.astype(staged)
         srt.sort(axis=1)
         fresh = np.empty(srt.shape, dtype=bool)
         fresh[:, 0] = True

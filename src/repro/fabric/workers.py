@@ -40,6 +40,7 @@ from typing import TYPE_CHECKING, Any, Callable, Protocol, runtime_checkable
 
 from repro.resilience.faults import FaultPlan, WorkerKilled, inject_shard_fault
 from repro.resilience.journal import record_checksum
+from repro.util.heap import retain_heap
 
 if TYPE_CHECKING:  # pragma: no cover
     from concurrent.futures import ProcessPoolExecutor
@@ -248,7 +249,7 @@ class PoolWorker:
         methods = multiprocessing.get_all_start_methods()
         context = multiprocessing.get_context("fork" if "fork" in methods else None)
         self._pool: ProcessPoolExecutor | None = ProcessPoolExecutor(
-            max_workers=1, mp_context=context
+            max_workers=1, mp_context=context, initializer=retain_heap
         )
         self._future = None
 

@@ -41,7 +41,9 @@ Each path first runs once untimed: the warm-up absorbs one-time costs
 (first-call allocations, caches) and its ``time_units`` are the
 agreement check, so no number is reported for a path that disagrees
 with its baseline on any trial.  Wall times are **best-of-``repeats``**
-(the minimum, as ``timeit`` does).  All randomness flows through the
+(the minimum, as ``timeit`` does), timed round-robin: baseline, each
+candidate, baseline again, so a slow spell on the host reaches every
+path rather than one path's whole block.  All randomness flows through the
 seeded :func:`~repro.core.mappings.sample_shift_batch` draw, so the
 measured *work* is deterministic; only the wall clock varies.
 
@@ -296,10 +298,11 @@ def bench_app(
     candidate.
 
     The shift matrix is drawn once up front, so every path executes the
-    *same* ``trials`` mapping draws.  Each path runs once untimed, then
-    ``repeats`` timed runs give its best wall time.  Raises
-    ``AssertionError`` if a candidate's warm-up ``time_units`` differ
-    from the baseline's on any trial.
+    *same* ``trials`` mapping draws.  Each path runs once untimed; then
+    ``repeats`` rounds each time the baseline and every candidate in
+    turn, and a path's best round is its wall time.  Raises
+    ``AssertionError``, before any timed run, if a candidate's warm-up
+    ``time_units`` differ from the baseline's on any trial.
     """
     if app not in BUILTIN_PROGRAMS:
         raise ValueError(f"unknown app {app!r}; expected one of {sorted(BUILTIN_PROGRAMS)}")
@@ -314,31 +317,34 @@ def bench_app(
     kernel = build()
     case = Case(app, mapping, latency, shifts, (lambda: kernel) if mode.shared_skeleton else build)
 
-    def best_of(run: Callable[[Case], Outcome]) -> tuple[float, np.ndarray, float | None]:
-        times, coverage = run(case)
-        best = math.inf
-        for _ in range(repeats):
-            start = perf_counter()
-            run(case)
-            best = min(best, perf_counter() - start)
-        return best, times, coverage
-
     base = mode.baseline
     assert base.run is not None, f"baseline {base.name} cannot run"
-    base_s, base_times, _ = best_of(base.run)
+    paths = [base] + [cand for cand in mode.candidates if cand.run is not None]
+    outcomes = [path.run(case) for path in paths]
+    base_times = outcomes[0][0]
+    for cand, (cand_times, _) in zip(paths[1:], outcomes[1:]):
+        if not np.array_equal(base_times, cand_times):
+            raise AssertionError(
+                f"{app} (w={w}): {cand.name} disagrees with {base.name} "
+                f"({base.name}={base_times!r}, {cand.name}={cand_times!r})"
+            )
+    # Round-robin repeats: a host slowdown spanning several runs hits
+    # the baseline and the candidates alike, not one path's block.
+    best = [math.inf] * len(paths)
+    for _ in range(repeats):
+        for i, path in enumerate(paths):
+            start = perf_counter()
+            path.run(case)
+            best[i] = min(best[i], perf_counter() - start)
+    timed = iter(zip(best[1:], outcomes[1:]))
     rows = []
     for cand in mode.candidates:
         cand_s = coverage = None
         if cand.run is not None:
-            cand_s, cand_times, coverage = best_of(cand.run)
-            if not np.array_equal(base_times, cand_times):
-                raise AssertionError(
-                    f"{app} (w={w}): {cand.name} disagrees with {base.name} "
-                    f"({base.name}={base_times!r}, {cand.name}={cand_times!r})"
-                )
+            cand_s, (_, coverage) = next(timed)
         rows.append(
             BenchRow(
-                app, w, len(kernel.steps), trials, base.name, cand.name, base_s,
+                app, w, len(kernel.steps), trials, base.name, cand.name, best[0],
                 cand_s, coverage, cand.available, cand.note,
             )
         )

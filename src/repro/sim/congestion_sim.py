@@ -13,8 +13,13 @@ paper's ``w = 32``.
 Chunking bounds peak memory: a chunk holds ``t`` trials, ``t * w * w``
 addresses, with ``t`` sized to ~64 MiB of int64 addresses whatever
 ``w``.  The sizing also fixes the order of the rng draws, so it stays
-although addresses are staged as int32 where they fit; the congestion
-kernel then splits each chunk into cache-sized blocks.
+although addresses are staged narrower: every address lies below
+``w * w``, so a chunk is uint16 where that fits (every paper width,
+``w <= 256``), else int32 (int64 only past ``w = 46340``).  The
+random pattern draws its row and column indices as int32 too, which
+gives the same values and generator state as int64 draws.  The
+congestion kernel then splits each chunk into cache-sized blocks and
+keeps a uint16 chunk in 16 bits.
 """
 
 from __future__ import annotations
@@ -286,15 +291,18 @@ def _matrix_address_chunks(
     ``addresses`` has shape ``(t * w, w)``, one row per warp access of
     ``t`` fresh mapping draws.  The chunk partition and the order of
     the rng draws define the sample stream, so every consumer of a
-    cell sees the same addresses.
+    cell sees the same addresses.  Addresses lie below ``w * w``: they
+    come as uint16 where that fits (every paper width), else in the
+    index dtype.
     """
     # Trials per chunk so that the staged (t, w, w) address block stays
     # under the memory budget.
     chunk = max(1, min(trials, _CHUNK_BYTES // (w * w * 8)))
+    index = np.int32 if w * w <= np.iinfo(np.int32).max else np.int64
+    staged = np.uint16 if w * w <= 1 << 16 else index
     is_random_pattern = pattern.lower() == "random"
     if not is_random_pattern:
         ii, jj = (g.ravel() for g in pattern_logical(pattern, w))  # warp-major
-        staged = np.int32 if w * w <= np.iinfo(np.int32).max else np.int64
         row_base, jj = (ii * w).astype(staged), jj.astype(staged)
 
     done = 0
@@ -302,13 +310,15 @@ def _matrix_address_chunks(
         t = min(chunk, trials - done)
         shifts = sample_shift_batch(mapping_name, w, t, rng)
         if is_random_pattern:
-            row = rng.integers(0, w, size=(t, w, w), dtype=np.int64)
-            addresses = rng.integers(0, w, size=(t, w, w), dtype=np.int64)
+            # An int32 draw below w takes the same values, and leaves
+            # the generator in the same state, as an int64 draw.
+            row = rng.integers(0, w, size=(t, w, w), dtype=index)
+            addresses = rng.integers(0, w, size=(t, w, w), dtype=index)
             # Per-trial gather through flat indices: each trial's shift
             # vector, indexed by its own random row indices.
-            trial_base = np.arange(0, t * w, w)[:, None, None]
+            trial_base = np.arange(0, t * w, w, dtype=index)[:, None, None]
             row += trial_base
-            addresses += np.take(shifts, row)
+            addresses += np.take(shifts.astype(index), row)
             row -= trial_base
             row *= w
         else:
@@ -321,7 +331,12 @@ def _matrix_address_chunks(
             addresses %= w
         else:
             addresses &= w - 1
-        addresses += row
+        if addresses.dtype == staged:
+            addresses += row
+        else:  # random pattern: the sum narrows to uint16 as it is written
+            addresses = np.add(
+                addresses, row, out=np.empty(addresses.shape, staged), casting="unsafe"
+            )
         yield t, addresses.reshape(-1, w)
         done += t
 

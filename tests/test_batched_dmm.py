@@ -839,6 +839,32 @@ class TestBenchLoop:
         assert (row.baseline_s, row.candidate_s, row.speedup) == (2.0, 1.0, 2.0)
         assert all(c.shifts.shape == (4, 8) for c in base_calls + cand_calls)
 
+    @pytest.mark.parametrize("slow_from", [1, 2, 3, 4, 5])
+    def test_a_slow_spell_does_not_skew_the_ratio(self, monkeypatch, slow_from):
+        """The host runs 3x slower for four consecutive calls, the length
+        of one path's warm-up plus repeats; wherever that spell falls,
+        each path keeps one fast timed run, so the ratio stays 2."""
+        import numpy as np
+
+        from repro.sim import bench
+
+        clock, calls = [0.0], []
+        monkeypatch.setattr(bench, "perf_counter", lambda: clock[0])
+
+        def path(name, cost):
+            def run(case):
+                slow = slow_from <= len(calls) < slow_from + 4
+                calls.append(name)
+                clock[0] += cost * (3.0 if slow else 1.0)
+                return np.array([3, 3, 3, 3]), None
+
+            return bench.Path(name, run)
+
+        mode = self._mode(path("base", 2.0), path("cand", 1.0))
+        (row,) = bench.bench_app("transpose_drdw", mode, w=8, trials=4, repeats=3)
+        assert (row.baseline_s, row.candidate_s, row.speedup) == (2.0, 1.0, 2.0)
+        assert calls == ["base", "cand"] * 4
+
     def test_disagreement_is_an_error(self, monkeypatch):
         from repro.sim import bench
 

@@ -175,3 +175,23 @@ class TestBatchKernelsDifferential:
         assert cong.dtype == np.int64 and loads.dtype == np.int64
         assert cong.tolist() == [warp_congestion(row, w) for row in rows]
         assert np.array_equal(loads, np.stack([bank_loads(row, w) for row in rows]))
+
+    @pytest.mark.parametrize("dtype", [np.uint16, np.int64])
+    @pytest.mark.parametrize("w", [16, 24, 256])
+    def test_uint16_batch_matches_int64(self, w, dtype):
+        """A uint16 batch stays in 16 bits inside the kernel; it must
+        count exactly what the same addresses count as int64 and as the
+        scalar definition, across several blocks, with duplicate lanes
+        and with addresses up to 2**16 - 1."""
+        rng = as_generator(w)
+        n = 3 * (_BLOCK_ADDRESSES // w) + 1
+        addresses = rng.integers(0, 1 << 16, size=(n, w), dtype=np.int64)
+        addresses[::2, 1::2] = addresses[::2, ::2]  # every even row: lanes in pairs
+        addresses[::5] = rng.integers(0, 4 * w, size=(len(addresses[::5]), w))
+        batch = addresses.astype(dtype)
+        cong = congestion_batch(batch, w)
+        loads = bank_loads_batch(batch, w)
+        assert np.array_equal(cong, congestion_batch(addresses, w))
+        assert np.array_equal(loads, bank_loads_batch(addresses, w))
+        sample = range(0, n, 97)
+        assert [cong[i] for i in sample] == [warp_congestion(addresses[i], w) for i in sample]

@@ -8,6 +8,7 @@ from repro.sim.congestion_sim import (
     simulate_matrix_congestion,
     simulate_nd_congestion,
 )
+from repro.util.rng import as_generator
 
 
 class TestCongestionStats:
@@ -102,6 +103,30 @@ class TestMatrixSimMechanics:
         s = simulate_matrix_congestion("RAS", "stride", 128, trials=64, seed=10)
         assert s.n_samples == 64 * 128
         assert 1 <= s.minimum <= s.maximum <= 128
+
+    @pytest.mark.parametrize("w", [3, 16, 24, 256, 4096])
+    def test_int32_draws_match_int64_draws(self, w):
+        """The random pattern draws its indices as int32; that keeps the
+        sample stream only while numpy gives an int32 draw below ``w``
+        the same values, and the same generator state after, as the
+        int64 draw."""
+        narrow, wide = as_generator(w), as_generator(w)
+        for size in [(2, w, 64), 1, 7]:
+            a = narrow.integers(0, w, size=size, dtype=np.int32)
+            b = wide.integers(0, w, size=size, dtype=np.int64)
+            assert np.array_equal(a, b)
+            assert narrow.bit_generator.state == wide.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "w, dtype", [(16, np.uint16), (256, np.uint16), (257, np.int32)]
+    )
+    def test_addresses_staged_in_the_narrowest_dtype(self, w, dtype):
+        from repro.sim.congestion_sim import _matrix_address_chunks
+
+        for pattern in ("stride", "random"):
+            rng = as_generator(0)
+            chunks = list(_matrix_address_chunks("RAP", pattern, w, 2, rng))
+            assert all(a.dtype == dtype and a.max() < w * w for _, a in chunks)
 
     def test_unknown_mapping(self):
         with pytest.raises(ValueError):

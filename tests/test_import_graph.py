@@ -70,6 +70,16 @@ def test_import_cli_leaves_out_what_the_tables_do_not_use():
     assert loaded.isdisjoint(heavy), sorted(loaded.intersection(heavy))
 
 
+def test_importing_never_loads_ctypes():
+    """The heap policy imports ctypes only when a command sets it.
+    numpy loads ctypes itself (and gets by without it), so the check on
+    ``repro.cli`` blocks ctypes: any ``repro`` module that imported it
+    at module level would fail to import."""
+    assert "ctypes" not in _loaded_after("import repro")
+    loaded = _loaded_after("sys.modules['ctypes'] = None\nimport repro.cli")
+    assert "repro.cli" in loaded
+
+
 def test_every_export_resolves_when_touched_first():
     exports = _run(
         "print(json.dumps({p: importlib.import_module(p).__all__ "
