@@ -18,7 +18,6 @@ import numpy as np
 from repro import RAPMapping
 from repro.access.transpose import transpose_indices
 from repro.core.congestion import congestion_batch
-from repro.core.derand import adversarial_pattern_for
 from repro.core.serialize import dumps_mapping, loads_mapping
 from repro.gpu.analyzer import analyze_kernel
 from repro.gpu.kernel import KernelStep
@@ -71,9 +70,11 @@ def main() -> None:
     assert np.array_equal(chosen.address(ii, jj), reloaded.address(ii, jj))
     print("Reloaded mapping is address-identical: ship it.")
 
-    # The fine print: a published sigma is attackable.
-    ai, aj = adversarial_pattern_for(reloaded.sigma)
-    worst = int(congestion_batch(reloaded.address(ai, aj), W).max())
+    # The fine print: a published sigma is attackable.  Row i's logical
+    # column (-sigma_i) mod w lands in bank 0, so one warp hits one bank.
+    ii = np.arange(W)[None, :]
+    jj = ((-reloaded.sigma) % W)[None, :]
+    worst = int(congestion_batch(reloaded.address(ii, jj), W).max())
     print(
         f"\nFine print: knowing the pinned sigma, an adversary crafts a"
         f"\npattern with congestion {worst} (= w).  Theorem 2 protects"

@@ -51,7 +51,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ],
         "repro.core.padded": ["PaddedMapping"],
         "repro.core.swizzle": ["XORSwizzleMapping"],
-        "repro.core.ndim_general": ["GeneralNDMapping"],
         "repro.core.higher_dim": [
             "ND_MAPPING_NAMES",
             "NDMapping",

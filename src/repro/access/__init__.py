@@ -32,11 +32,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "scan_positions",
             "strided_addresses",
         ],
-        "repro.access.inplace": [
-            "InplaceTransposeOutcome",
-            "inplace_transpose_program",
-            "run_inplace_transpose",
-        ],
         "repro.access.transpose": [
             "TRANSPOSE_NAMES",
             "TransposeOutcome",

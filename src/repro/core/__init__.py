@@ -16,18 +16,11 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "merge_requests",
             "warp_congestion",
         ],
-        "repro.core.derand": [
-            "adversarial_pattern_for",
-            "exhaustive_best",
-            "optimize_permutation",
-            "pattern_set_congestion",
-        ],
         "repro.core.exact": [
             "exact_expected_max_load",
             "exact_max_load_cdf",
             "exact_max_load_pmf",
         ],
-        "repro.core.ndim_general": ["GeneralNDMapping"],
         "repro.core.padded": ["PaddedMapping", "antidiagonal_logical"],
         "repro.core.swizzle": ["XORSwizzleMapping", "xor_adversarial_logical"],
         "repro.core.serialize": [

@@ -10,7 +10,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "ExecutionResult",
             "InstructionTrace",
         ],
-        "repro.dmm.event_sim": ["EventDrivenDMM", "EventExecutionResult"],
         "repro.dmm.umm": ["UnifiedMemoryMachine", "coalesced_group_count"],
         "repro.dmm.memory": ["BankedMemory", "BatchedMemory"],
         "repro.dmm.batched": [

@@ -18,7 +18,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ],
         "repro.report.ascii_plot": ["bar_chart", "line_chart"],
         "repro.report.run_stats": ["RunStatsCollector", "ShardRecord"],
-        "repro.report.timeline": ["instruction_timeline", "render_timeline"],
         "repro.report.heatmap": ["bank_heatmap", "load_glyph", "render_heatmap"],
         "repro.report.tables": [
             "format_grid",

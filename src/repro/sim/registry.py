@@ -100,11 +100,6 @@ EXPERIMENT_INDEX: tuple[Experiment, ...] = (
         "bench_swizzle.py", "table2x",
     ),
     Experiment(
-        "derand", "extension", "-",
-        ("repro.core.derand",),
-        "bench_derand.py", None,
-    ),
-    Experiment(
         "offline", "extension", "paper refs [8],[13]",
         ("repro.routing.coloring", "repro.routing.offline"),
         "bench_offline.py", "offline",
@@ -118,11 +113,6 @@ EXPERIMENT_INDEX: tuple[Experiment, ...] = (
         "strided", "extension", "-",
         ("repro.access.strided",),
         "bench_strided.py", None,
-    ),
-    Experiment(
-        "event-engine", "extension", "-",
-        ("repro.dmm.event_sim",),
-        "bench_event_sim.py", None,
     ),
     Experiment(
         "apps", "extension", "-",
@@ -149,11 +139,6 @@ EXPERIMENT_INDEX: tuple[Experiment, ...] = (
         "distributions", "extension", "-",
         ("repro.sim.distributions",),
         "bench_distributions.py", None,
-    ),
-    Experiment(
-        "inplace", "extension", "-",
-        ("repro.access.inplace",),
-        "bench_inplace.py", None,
     ),
     Experiment(
         "seed-sensitivity", "extension", "-",

@@ -35,10 +35,8 @@ MODULES = [
     "repro.core.theory",
     "repro.core.exact",
     "repro.core.higher_dim",
-    "repro.core.ndim_general",
     "repro.core.padded",
     "repro.core.swizzle",
-    "repro.core.derand",
     "repro.core.serialize",
     "repro.core.register_pack",
     "repro.dmm.memory",
@@ -47,11 +45,9 @@ MODULES = [
     "repro.dmm.trace",
     "repro.dmm.machine",
     "repro.dmm.umm",
-    "repro.dmm.event_sim",
     "repro.dmm.validation",
     "repro.access.patterns",
     "repro.access.patterns_nd",
-    "repro.access.inplace",
     "repro.access.strided",
     "repro.access.transpose",
     "repro.gpu.timing",
@@ -88,7 +84,6 @@ MODULES = [
     "repro.report.figures",
     "repro.report.heatmap",
     "repro.report.ascii_plot",
-    "repro.report.timeline",
     "repro.util.rng",
     "repro.util.validation",
 ]

@@ -2,7 +2,7 @@
 
 Each test computes the same quantity through two code paths that share
 no implementation (static analyzer vs executor, heatmap vs congestion
-kernel, timeline vs traces, figures vs mappings) and asserts equality.
+kernel, figures vs mappings) and asserts equality.
 Disagreement anywhere means one of the paths drifted.
 """
 
@@ -16,7 +16,6 @@ from repro.core.mappings import MAPPING_NAMES, RAPMapping, mapping_by_name
 from repro.gpu.analyzer import analyze_kernel, analyze_program
 from repro.gpu.kernel import KernelStep, transpose_kernel
 from repro.report.heatmap import bank_heatmap
-from repro.report.timeline import render_timeline
 
 
 class TestAnalyzerVsExecutor:
@@ -63,15 +62,6 @@ class TestHeatmapVsCongestion:
         w = 8
         addrs = rng.integers(0, w * w, size=(5, w))
         assert np.array_equal(bank_heatmap(addrs, w), bank_loads_batch(addrs, w))
-
-
-class TestTimelineVsTraces:
-    def test_timeline_totals_match_execution(self, rng):
-        outcome = run_transpose("DRDW", RAPMapping.random(8, rng), latency=3)
-        text = render_timeline(outcome.execution)
-        assert f"total: {outcome.time_units} time units" in text
-        for trace in outcome.execution.traces:
-            assert f"{trace.schedule.total_stages} stages" in text
 
 
 class TestKernelVsTransposePath:

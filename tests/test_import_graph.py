@@ -1,4 +1,4 @@
-"""The import graph, checked in fresh interpreters.
+"""The import graph, checked in fresh interpreters and in the source.
 
 Package exports are lazy (PEP 562, :mod:`repro._lazy`): importing a
 package loads none of its submodules, and a command pays only for the
@@ -6,8 +6,11 @@ modules it uses.  These checks run in subprocesses, because this test
 process has long since imported everything.  Where a check needs many
 "first touches", the subprocess drops every ``repro`` module from
 ``sys.modules`` before each one, so each lookup starts from nothing.
+The last check reads the source instead: every module must be the
+target of some ``import`` statement in the package.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -144,3 +147,35 @@ print(json.dumps([first, full]))
     )
     assert first == full
     assert all(full)
+
+
+#: Modules no ``import`` in ``src/repro`` names, and what keeps each one.
+UNIMPORTED_ALLOWED = {
+    "repro.__main__": "`python -m repro`",
+    "repro.access.strided": "used by examples/reduction_conflicts.py",
+    "repro.core.serialize": "used by examples/sigma_lifecycle.py",
+    "repro.dmm.validation": "the trace-invariant checker tests use as a reference",
+    "repro.report.heatmap": "used by examples/padding_vs_rap.py and reduction_conflicts.py",
+    "repro.sim.distributions": "its pmfs are pinned by tables_baseline.json",
+}
+
+
+def test_every_module_is_imported():
+    """A module that no ``import`` statement names (function-local
+    imports count; ``lazy_exports`` tables and ``sim/registry.py``'s
+    module tuples are strings and do not) is reached by nothing in the
+    program.  Delete it, or allowlist it with the user that keeps it."""
+    imported = set()
+    for path in (SRC / "repro").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module)
+                imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+    unimported = sorted(
+        set(MODULES + ["repro.__main__"]) - imported - set(UNIMPORTED_ALLOWED)
+    )
+    assert not unimported, f"imported by nothing: {unimported}"
+    stale = sorted(set(UNIMPORTED_ALLOWED) & imported)
+    assert not stale, f"allowlisted but imported: {stale}"

@@ -1,9 +1,9 @@
 """Property-based tests (hypothesis) for the extension modules.
 
-Covers the invariants introduced after the core reproduction: the
-event engine's equivalence guarantees, padded/XOR layout bijectivity,
-the exact balls-in-bins law, routing colorability, and the strided
-closed forms — each quantified over random inputs.
+Covers the invariants introduced after the core reproduction:
+padded/XOR layout bijectivity, the exact balls-in-bins law, routing
+colorability, and the strided closed forms — each quantified over
+random inputs.
 """
 
 import numpy as np
@@ -16,9 +16,7 @@ from repro.core.exact import exact_expected_max_load, exact_max_load_cdf
 from repro.core.mappings import RAPMapping
 from repro.core.padded import PaddedMapping
 from repro.core.swizzle import XORSwizzleMapping
-from repro.dmm.event_sim import EventDrivenDMM
 from repro.dmm.machine import DiscreteMemoryMachine
-from repro.dmm.trace import MemoryProgram, read, write
 from repro.util.rng import as_generator
 
 widths = st.integers(min_value=2, max_value=24)
@@ -83,57 +81,6 @@ def test_exact_expectation_bounds(m, n):
 @given(st.integers(2, 16))
 def test_exact_expectation_shrinks_with_more_bins(m):
     assert exact_expected_max_load(m, 2 * m) <= exact_expected_max_load(m, m) + 1e-9
-
-
-# -- event engine equivalence ---------------------------------------------------
-
-
-@st.composite
-def random_program(draw):
-    """A small random read/write program over one or two warps."""
-    w = draw(st.sampled_from([2, 4, 8]))
-    n_warps = draw(st.integers(1, 3))
-    p = w * n_warps
-    size = 4 * w * w
-    n_instr = draw(st.integers(1, 4))
-    prog = MemoryProgram(p=p)
-    rng = as_generator(draw(seeds))
-    prog.append(read(rng.integers(0, size, size=p), register="v"))
-    for _ in range(n_instr - 1):
-        if rng.random() < 0.5:
-            prog.append(read(rng.integers(0, size, size=p), register="v"))
-        else:
-            prog.append(write(rng.integers(0, size, size=p), register="v"))
-    return w, size, prog
-
-
-@settings(max_examples=40, deadline=None)
-@given(random_program(), st.integers(1, 12))
-def test_event_engine_never_slower_and_data_equal(wp, latency):
-    w, size, prog = wp
-    analytic = DiscreteMemoryMachine(w, latency, size)
-    event = EventDrivenDMM(w, latency, size)
-    init = np.arange(size, dtype=float)
-    analytic.load(0, init)
-    event.load(0, init)
-    a = analytic.run(prog)
-    e = event.run(prog)
-    assert e.time_units <= a.time_units
-    assert np.array_equal(analytic.dump(0, size), event.dump(0, size))
-    stages = sum(t.schedule.total_stages for t in a.traces)
-    assert e.issue_cycles == stages
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.sampled_from([2, 4, 8, 16]), st.integers(1, 12), seeds)
-def test_event_engine_exact_on_single_instruction(w, latency, seed):
-    rng = as_generator(seed)
-    prog = MemoryProgram(
-        p=w, instructions=[read(rng.integers(0, w * w, size=w))]
-    )
-    a = DiscreteMemoryMachine(w, latency, w * w).run(prog).time_units
-    e = EventDrivenDMM(w, latency, w * w).run(prog).time_units
-    assert a == e
 
 
 # -- routing: every permutation is w-colorable -----------------------------------
