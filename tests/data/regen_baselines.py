@@ -25,7 +25,9 @@ Five artifacts live next to this script:
     bitonic sort, shearsort, both stencil assignments, every gather
     distribution and SpMV structure, the three transposes) under
     RAW/RAS/RAP at w=8 and 16, seed=2014: correctness, time units,
-    pipeline stages and congestion.
+    pipeline stages and congestion.  Also the global transpose (direct,
+    and tiled per mapping) and the histogram (naive per skew, and
+    privatized per mapping and fold) at latency 1 and 3.
 
 ``tables_baseline.json``
     Golden Monte-Carlo output: ``repro table2`` at w=16, 24, 32, 256
@@ -161,11 +163,63 @@ def apps_baseline_text() -> str:
                         execution["traces"][1]["congestions"]
                     )
                 records[f"{app}/{name}/w{w}"] = outcome
+    records.update(_hierarchy_records(seed))
     # One record per line keeps the artifact reviewable in a diff.
     lines = ",\n".join(
         f"  {json.dumps(key)}: {json.dumps(value)}" for key, value in records.items()
     )
     return f'{{\n "seed": {seed},\n "outcomes": {{\n{lines}\n }}\n}}\n'
+
+
+#: pipeline depths of the global-transpose and histogram records.
+APPS_LATENCIES = (1, 3)
+#: vote skews of the naive histogram records.
+HISTOGRAM_SKEWS = (0, 1, 2)
+
+
+def _hierarchy_records(seed: int) -> dict:
+    """Golden outcomes of the global transpose and the histogram.
+
+    The global transpose runs ``n = 2w`` (four tiles), directly and
+    tiled under each mapping; the histogram votes ``w^2 + 3`` times, so
+    the last round is partial, naively at each skew and privatized
+    under each mapping and fold.
+    """
+    from dataclasses import asdict
+
+    from repro.apps import make_votes, run_global_transpose, run_histogram
+    from repro.core.mappings import mapping_by_name
+
+    records = {}
+    for w in APPS_WIDTHS:
+        for latency in APPS_LATENCIES:
+            tag = f"w{w}/l{latency}"
+            records[f"global_direct/{tag}"] = asdict(
+                run_global_transpose(2 * w, "direct", w=w, latency=latency, seed=seed)
+            )
+            for name in APPS_MAPPINGS:
+                records[f"global_tiled/{name}/{tag}"] = asdict(
+                    run_global_transpose(
+                        2 * w, "tiled", mapping_by_name(name, w, seed),
+                        w=w, latency=latency, seed=seed,
+                    )
+                )
+            for skew in HISTOGRAM_SKEWS:
+                votes = make_votes(w * w + 3, w, skew=skew, seed=seed)
+                records[f"histogram_naive/skew{skew}/{tag}"] = asdict(
+                    run_histogram(votes, "naive", w=w, latency=latency)
+                )
+            votes = make_votes(w * w + 3, w, skew=1, seed=seed)
+            for fold in ("row", "column"):
+                for name in APPS_MAPPINGS:
+                    records[f"histogram_{fold}/{name}/{tag}"] = asdict(
+                        run_histogram(
+                            votes, "privatized", w=w, latency=latency,
+                            mapping=mapping_by_name(name, w, seed),
+                            fold_assignment=fold,
+                        )
+                    )
+    return records
 
 
 #: seed, trial count and widths of the golden Monte-Carlo tables.
