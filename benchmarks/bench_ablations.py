@@ -16,11 +16,11 @@ import numpy as np
 import pytest
 
 from repro.access.patterns import pattern_addresses
-from repro.access.transpose import transpose_program
 from repro.core.congestion import bank_loads_batch, congestion_batch
 from repro.core.mappings import RAPMapping, RASMapping, RAWMapping
 from repro.dmm.umm import UnifiedMemoryMachine
 from repro.dmm.machine import DiscreteMemoryMachine
+from repro.gpu.kernel import transpose_kernel
 from repro.gpu.timing import PAPER_TABLE3_NS, GPUTimingModel
 from repro.sim.congestion_sim import simulate_matrix_congestion
 from repro.util.rng import as_generator
@@ -135,7 +135,7 @@ def test_ablation_umm_vs_dmm(benchmark):
     def measure():
         out = {}
         for kind in ("CRSW", "DRDW"):
-            prog = transpose_program(kind, mapping)
+            prog = transpose_kernel(kind, mapping).program()
             dmm = DiscreteMemoryMachine(w, 1, 2 * w * w)
             dmm.load(0, mapping.apply_layout(np.zeros((w, w))))
             umm = UnifiedMemoryMachine(w, 1, 2 * w * w)

@@ -18,8 +18,9 @@ import sys
 
 import pytest
 
-from repro.adversary import adversary_sweep, find_worst_pattern
+from repro.adversary import find_worst_pattern
 from repro.report.tables import render_adversary
+from repro.sim.experiments import adversary_table
 
 from .conftest import BENCH_SEED
 
@@ -52,7 +53,7 @@ def test_bench_adversary_table(benchmark):
     """Time the full RAW/RAP grid at tiny budget and print the table."""
 
     def measure():
-        return adversary_sweep(
+        return adversary_table(
             mappings=("RAW", "RAP"),
             widths=(16, 32),
             seed=BENCH_SEED,

@@ -80,7 +80,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "TRANSPOSE_NAMES",
             "TransposeOutcome",
             "run_transpose",
-            "transpose_program",
         ],
         "repro.gpu.kernel": ["SharedMemoryKernel", "transpose_kernel"],
         "repro.gpu.matmul": ["run_matmul"],

@@ -37,7 +37,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "TransposeOutcome",
             "run_transpose",
             "transpose_indices",
-            "transpose_program",
         ],
     },
 )

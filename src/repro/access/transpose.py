@@ -18,12 +18,11 @@ that is precisely the RAP trick: CRSW's stride write to logical
 ``b[j][i]`` lands in physical bank ``(i + sigma_j) mod w``, and because
 ``sigma`` is a permutation those banks are all distinct within a warp.
 
-:func:`transpose_program` compiles an algorithm into a two-instruction
-:class:`~repro.dmm.trace.MemoryProgram` (SIMD read, then SIMD write —
-the DMM forbids mixing).  :func:`run_transpose` executes the same two
-steps as a :func:`~repro.gpu.kernel.transpose_kernel` — the skeleton
-the static certifier sees — on a fresh machine and checks the result
-against ``numpy.transpose``.
+:func:`~repro.gpu.kernel.transpose_kernel` builds an algorithm as a
+two-step kernel (SIMD read, then SIMD write — the DMM forbids mixing),
+the skeleton the static certifier sees.  :func:`run_transpose`
+executes it on a fresh machine and checks the result against
+``numpy.transpose``.
 """
 
 from __future__ import annotations
@@ -35,13 +34,11 @@ import numpy as np
 
 from repro.core.mappings import AddressMapping
 from repro.dmm.machine import ExecutionResult
-from repro.dmm.trace import MemoryProgram, read, write
 from repro.util.rng import SeedLike, as_generator
 
 __all__ = [
     "TRANSPOSE_NAMES",
     "transpose_indices",
-    "transpose_program",
     "TransposeOutcome",
     "run_transpose",
 ]
@@ -71,42 +68,6 @@ def transpose_indices(
         diag = (ii + jj) % w
         return (jj, diag), (diag, jj)
     raise ValueError(f"unknown transpose {kind!r}; expected one of {TRANSPOSE_NAMES}")
-
-
-def transpose_program(
-    kind: str,
-    mapping: AddressMapping,
-    a_base: int = 0,
-    b_base: Optional[int] = None,
-) -> MemoryProgram:
-    """Compile a transpose algorithm into a DMM memory program.
-
-    Parameters
-    ----------
-    kind:
-        ``"CRSW"``, ``"SRCW"``, or ``"DRDW"``.
-    mapping:
-        Address mapping applied to *both* matrices.
-    a_base, b_base:
-        Base addresses of the source and destination matrices in the
-        shared address space (``b_base`` defaults to just after ``a``).
-
-    Returns
-    -------
-    MemoryProgram
-        Two instructions (read ``a``, write ``b``) over ``p = w^2``
-        threads.
-    """
-    w = mapping.w
-    if b_base is None:
-        b_base = a_base + mapping.storage_words
-    (ri, rj), (wi, wj) = transpose_indices(kind, w)
-    read_addr = a_base + mapping.address(ri, rj)
-    write_addr = b_base + mapping.address(wi, wj)
-    program = MemoryProgram(p=w * w)
-    program.append(read(read_addr.ravel(), register="c"))
-    program.append(write(write_addr.ravel(), register="c"))
-    return program
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,10 @@ well-behaved patterns.  This package hunts for the worst pattern a
 mapping family admits: deterministic random-restart greedy local
 search over warp index grids, scored by the batched congestion kernel
 of :mod:`repro.dmm.batched` (:func:`~repro.dmm.batched.warp_congestion_block`).
+The restarts run as shards of the Monte-Carlo engine
+(:meth:`~repro.sim.engine.MonteCarloEngine.map_seeded`), with the
+retries, leases and fault injection of every other sweep; the grid
+sweep is :func:`repro.sim.experiments.adversary_table`.
 
 The found-worst patterns double as a fuzzer corpus: they are dense,
 non-affine, duplicate-free worst cases that stress the large-``w``
@@ -23,7 +27,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "AdversaryResult",
             "AdversarySweep",
             "SearchBudget",
-            "adversary_sweep",
             "assemble_pattern",
             "expected_worst_congestion",
             "find_worst_pattern",

@@ -42,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--w",
-        type=int,
+        type=int_at_least(1),
         nargs="+",
         default=[32, 64, 128, 256, 512, 1024],
         help="warp widths to attack (default: 32..1024)",
@@ -66,15 +66,15 @@ def build_parser() -> argparse.ArgumentParser:
     for knob in ("restarts", "passes", "candidates", "train-trials", "eval-trials"):
         parser.add_argument(
             f"--{knob}",
-            type=int,
+            type=int_at_least(1),
             default=None,
             help=f"override the preset's {knob.replace('-', '_')}",
         )
     parser.add_argument(
         "--workers",
-        type=int,
+        type=int_at_least(0, " (0 = all cores)"),
         default=1,
-        help="processes for the restart fan-out (0 = all cores, default 1)",
+        help="workers for the restart shards (0 = all cores, default 1)",
     )
     parser.add_argument(
         "--json",
@@ -133,6 +133,7 @@ def _main(argv: Sequence[str] | None) -> int:
     budget = _budget_from_args(args)
 
     from repro.report.tables import render_adversary
+    from repro.sim.engine import MonteCarloEngine
     from repro.sim.experiments import adversary_table
 
     journal = None
@@ -153,14 +154,15 @@ def _main(argv: Sequence[str] | None) -> int:
             resume=True,
         )
 
-    sweep = adversary_table(
-        mappings=tuple(args.mappings),
-        widths=tuple(args.w),
-        seed=args.seed,
-        budget=budget,
-        workers=args.workers,
-        journal=journal,
-    )
+    with MonteCarloEngine(workers=args.workers) as engine:
+        sweep = adversary_table(
+            mappings=tuple(args.mappings),
+            widths=tuple(args.w),
+            seed=args.seed,
+            budget=budget,
+            engine=engine,
+            journal=journal,
+        )
     print(render_adversary(sweep))
 
     if args.json is not None:

@@ -30,7 +30,6 @@ found score is exactly what the cycle-accurate machine would charge.
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -40,6 +39,7 @@ from repro.core.theory import log_over_loglog
 from repro.dmm.batched import warp_congestion_block
 from repro.dmm.warp import duplicate_lanes
 from repro.gpu.kernel import check_shifts
+from repro.sim.engine import MonteCarloEngine
 from repro.util.rng import (
     SeedLike,
     as_generator,
@@ -57,7 +57,6 @@ __all__ = [
     "pattern_congestions",
     "expected_worst_congestion",
     "find_worst_pattern",
-    "adversary_sweep",
 ]
 
 #: cap on bank-key elements materialized per scoring chunk (~32 MB of
@@ -226,16 +225,18 @@ def _start_pattern(
     return rng.integers(0, w, size=w), rng.integers(0, w, size=w)
 
 
-def _run_restart(task) -> tuple[float, np.ndarray, np.ndarray]:
+def _run_restart(
+    item: tuple, rng: np.random.Generator
+) -> tuple[float, np.ndarray, np.ndarray]:
     """One full restart: greedy coordinate ascent from one start.
 
-    ``task`` is a picklable tuple so restarts can be farmed to worker
-    processes; each restart is a pure function of its own seed
-    sequence and the shared training shifts, which is what makes the
-    search worker-count invariant.
+    The shard body of :meth:`~repro.sim.engine.MonteCarloEngine.map_seeded`:
+    ``item`` is the picklable ``(restart, train_shifts, w, budget)``
+    and ``rng`` the restart's own stream, so a restart is a pure
+    function of its seed and the shared training shifts, which is what
+    makes the search worker-count invariant.
     """
-    restart, seq, train_shifts, w, budget = task
-    rng = as_generator(seq)
+    restart, train_shifts, w, budget = item
     rows, cols = _start_pattern(restart, w, rng)
     best = float(_warp_scores(rows[None, :], cols[None, :], train_shifts, w)[0])
     aim = budget.candidates // 2
@@ -349,35 +350,33 @@ def find_worst_pattern(
     w: int = 32,
     seed: SeedLike = 2014,
     budget: SearchBudget | str | None = None,
-    workers: int = 1,
+    engine: MonteCarloEngine | None = None,
 ) -> AdversaryResult:
     """Search for the worst access pattern against one mapping family.
 
+    The restarts run as shards of ``engine`` (an in-process one when
+    omitted), with its retries, leases and fault injection.
     Deterministic: a fixed ``seed`` produces the identical pattern and
-    scores for every ``workers`` value (0 = all cores) — restarts are
-    independent, each seeded from its own spawned sequence, and the
-    winner is chosen by ``(train_score, lowest restart index)``.
+    scores for every worker count — restart ``i`` draws from child
+    ``i`` of ``seed``'s spawned sequences, training and evaluation
+    from the last two, and the winner is chosen by ``(train_score,
+    lowest restart index)``.
     """
     if mapping not in MAPPING_NAMES:
         raise ValueError(f"unknown mapping {mapping!r}; expected one of {MAPPING_NAMES}")
     check_positive_int(w, "w")
-    if workers < 0:
-        raise ValueError(f"workers must be >= 0 (0 = all cores), got {workers}")
     budget = _coerce_budget(budget)
-    children = as_seed_sequence(seed).spawn(budget.restarts + 2)
-    train_seq, eval_seq = children[-2], children[-1]
+    engine = engine or MonteCarloEngine()
+    root = as_seed_sequence(seed)
+    train_seq, eval_seq = root.spawn(budget.restarts + 2)[-2:]
     # RAW has no randomness: one all-zero draw scores the pattern exactly.
     train_trials = 1 if mapping == "RAW" else budget.train_trials
     eval_trials = 1 if mapping == "RAW" else budget.eval_trials
     train_shifts = sample_shift_batch(mapping, w, train_trials, as_generator(train_seq))
-    tasks = [
-        (i, children[i], train_shifts, w, budget) for i in range(budget.restarts)
-    ]
-    if workers == 1:
-        outcomes = [_run_restart(task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers or None) as pool:
-            outcomes = list(pool.map(_run_restart, tasks, chunksize=1))
+    items = [(i, train_shifts, w, budget) for i in range(budget.restarts)]
+    # map_seeded spawns from a fresh copy of root, so restart i gets
+    # child i, as the spawn above laid out.
+    outcomes = engine.map_seeded(_run_restart, items, root)
     best = max(range(len(outcomes)), key=lambda i: (outcomes[i][0], -i))
     train_score, rows, cols = outcomes[best]
     ii, jj = assemble_pattern(rows, cols, w)
@@ -450,28 +449,3 @@ class AdversarySweep:
                 for w in self.widths
             ]
         return payload
-
-
-def adversary_sweep(
-    mappings: tuple[str, ...] = ("RAW", "RAS", "RAP"),
-    widths: tuple[int, ...] = (32, 64, 128, 256, 512, 1024),
-    seed: SeedLike = 2014,
-    budget: SearchBudget | str | None = None,
-    workers: int = 1,
-) -> AdversarySweep:
-    """Run :func:`find_worst_pattern` over the full mapping x width grid.
-
-    Cell seeds are spawned from ``seed`` in a fixed order (the
-    :func:`~repro.sim.sweep.growth_sweep` convention), so the sweep is
-    reproducible cell by cell and insensitive to ``workers``.
-    """
-    sweep = AdversarySweep(widths=tuple(widths), mappings=tuple(mappings))
-    seqs = as_seed_sequence(seed).spawn(len(mappings) * len(widths))
-    k = 0
-    for mapping in sweep.mappings:
-        for w in sweep.widths:
-            sweep.results[(mapping, w)] = find_worst_pattern(
-                mapping, w, seed=seqs[k], budget=budget, workers=workers
-            )
-            k += 1
-    return sweep

@@ -7,12 +7,13 @@ Every workload exposes its access skeleton as an uncompiled
 factory, collected here in :data:`BUILTIN_PROGRAMS` so the static
 verifier (``python -m repro certify``) can reach all of them by name.
 
-Except for the histogram (whose skeleton covers only the vote reads)
-and the global transpose (which also runs global-memory phases), that
-skeleton is the app's only definition: ``run_*`` builds it, loads its
-data, and executes it with
+Except for the histogram (whose skeleton covers only the vote reads),
+that skeleton is the app's only definition: ``run_*`` builds it, loads
+its data, and executes it with
 :meth:`~repro.gpu.kernel.SharedMemoryKernel.run`, doing the arithmetic
-host-side between steps — so the certified program is the one that runs.
+host-side between steps — so the certified program is the one that
+runs.  The global transpose runs its skeleton once per tile, between
+its global-memory phases.
 """
 
 from repro._lazy import lazy_exports

@@ -32,9 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.access.transpose import transpose_program
 from repro.core.mappings import AddressMapping, RAWMapping
-from repro.dmm.machine import DiscreteMemoryMachine
 from repro.dmm.trace import MemoryProgram, read, write
 from repro.dmm.umm import UnifiedMemoryMachine
 from repro.util.rng import SeedLike, as_generator
@@ -53,14 +51,14 @@ GLOBAL_STRATEGIES = ("direct", "tiled")
 def build_program(mapping: AddressMapping, seed: SeedLike = None):
     """The tiled transpose's *shared-memory phase* as a certifiable kernel.
 
-    Per tile, :func:`run_global_transpose` stages four shared-memory
-    steps: store the tile contiguously (values arriving from global
-    memory — an ``immediate`` write), the CRSW transpose read/write
-    pair into the second tile, and the contiguous read-out.  Every
-    tile repeats the same four accesses, so one tile's kernel is the
-    whole phase's certificate.  All four grids are affine — the CRSW
-    write is the paper's headline stride case.  ``seed`` is accepted
-    for registry uniformity; the skeleton is deterministic.
+    Four shared-memory steps: store the tile contiguously (values
+    arriving from global memory — an ``immediate`` write), the CRSW
+    transpose read/write pair into the second tile, and the contiguous
+    read-out.  :func:`run_global_transpose` runs this kernel once per
+    tile, so the certified program is the one that runs.  All four
+    grids are affine — the CRSW write is the paper's headline stride
+    case.  ``seed`` is accepted for registry uniformity; the skeleton
+    is deterministic.
     """
     w = mapping.w
     from repro.gpu.kernel import KernelStep, SharedMemoryKernel
@@ -141,13 +139,12 @@ def _tiled(
     """Stage w x w tiles through shared memory; transpose there."""
     gmem = UnifiedMemoryMachine(w, latency, memory_size=2 * n * n)
     gmem.load(0, matrix.ravel())
-    words = mapping.storage_words
+    kernel = build_program(mapping)
     tiles = n // w
     global_time = 0
     shared_time = 0
 
     ti, tj = np.meshgrid(np.arange(w), np.arange(w), indexing="ij")
-    shared_a = mapping.address(ti, tj).ravel()
 
     for bi in range(tiles):
         for bj in range(tiles):
@@ -160,20 +157,12 @@ def _tiled(
             global_time += result.time_units
             tile_vals = result.registers["t"]
 
-            # -- shared store + transpose (the paper's CRSW) -----------
-            smem = DiscreteMemoryMachine(w, latency, memory_size=2 * words)
-            store = MemoryProgram(
-                p=w * w, instructions=[write(shared_a, values=tile_vals)]
+            # -- shared phase: the skeleton (store, CRSW, read-out) ----
+            report = kernel.run(
+                latency=latency, host=lambda index, registers: tile_vals
             )
-            shared_time += smem.run(store).time_units
-            shared_time += smem.run(transpose_program("CRSW", mapping)).time_units
-            load = MemoryProgram(
-                p=w * w,
-                instructions=[read(words + shared_a, register="o")],
-            )
-            result = smem.run(load)
-            shared_time += result.time_units
-            out_vals = result.registers["o"]
+            shared_time += report.time_units
+            out_vals = report.execution.registers["o"]
 
             # -- global write to the mirrored tile, row-major: coalesced
             drows = bj * w + ti

@@ -31,6 +31,7 @@ skew drives the naive variant's loss rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -136,34 +137,42 @@ def build_program(
     )
 
 
+def _vote(
+    machine: DiscreteMemoryMachine,
+    votes: np.ndarray,
+    address: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> tuple[int, int]:
+    """One read-modify-write round per warp of votes; returns (time, stages).
+
+    The lanes of a round increment the counters at ``address(bins,
+    lanes)``; lanes past the last vote are inactive.  The read and the
+    write run as separate programs, so a round's colliding writes merge
+    under CRCW exactly as a non-atomic increment would.
+    """
+    w = machine.w
+    time_units = 0
+    total_stages = 0
+    for lo in range(0, votes.size, w):
+        chunk = votes[lo : lo + w]
+        addrs = np.full(w, -1, dtype=np.int64)
+        addrs[: chunk.size] = address(chunk, np.arange(chunk.size))
+        load = machine.run(MemoryProgram(p=w, instructions=[read(addrs, register="c")]))
+        counts = load.registers["c"] + 1.0
+        store = machine.run(MemoryProgram(p=w, instructions=[write(addrs, values=counts)]))
+        for result in (load, store):
+            time_units += result.time_units
+            total_stages += sum(t.schedule.total_stages for t in result.traces)
+    return time_units, total_stages
+
+
 def _run_naive(
     votes: np.ndarray, w: int, latency: int
 ) -> HistogramOutcome:
-    """Read-modify-write voting: demonstrably lossy under CRCW."""
-    bins = w  # one row of counters
-    machine = DiscreteMemoryMachine(w, latency, memory_size=bins)
-    time_units = 0
-    total_stages = 0
-    n = votes.size
-    rounds = -(-n // w)
-    padded = np.full(rounds * w, -1, dtype=np.int64)
-    padded[:n] = votes
-    for r in range(rounds):
-        chunk = padded[r * w : (r + 1) * w]
-        addrs = np.where(chunk >= 0, chunk, -1)
-        prog = MemoryProgram(p=w)
-        prog.append(read(addrs, register="c"))
-        result = machine.run(prog)
-        time_units += result.time_units
-        total_stages += sum(t.schedule.total_stages for t in result.traces)
-        counts = result.registers["c"] + 1.0
-        out = MemoryProgram(p=w)
-        out.append(write(addrs, values=counts))
-        result = machine.run(out)
-        time_units += result.time_units
-        total_stages += sum(t.schedule.total_stages for t in result.traces)
-    final = machine.dump(0, bins).astype(np.int64)
-    expected = np.bincount(votes, minlength=bins)
+    """Voting on a one-row table addressed by bin: lossy under CRCW."""
+    machine = DiscreteMemoryMachine(w, latency, memory_size=w)
+    time_units, total_stages = _vote(machine, votes, lambda bins, lanes: bins)
+    final = machine.dump(0, w).astype(np.int64)
+    expected = np.bincount(votes, minlength=w)
     lost = int(expected.sum() - final.sum())
     return HistogramOutcome(
         strategy="naive",
@@ -185,35 +194,10 @@ def _run_privatized(
 ) -> HistogramOutcome:
     """Per-lane private histograms + a fold pass under ``mapping``."""
     bins = w
-    words = mapping.storage_words
-    machine = DiscreteMemoryMachine(w, latency, memory_size=words)
+    machine = DiscreteMemoryMachine(w, latency, memory_size=mapping.storage_words)
     machine.load(0, mapping.apply_layout(np.zeros((bins, w))))
-    time_units = 0
-    total_stages = 0
-    n = votes.size
-    rounds = -(-n // w)
-    padded = np.full(rounds * w, -1, dtype=np.int64)
-    padded[:n] = votes
-    lanes = np.arange(w, dtype=np.int64)
-
-    # Host-side per-lane accumulation mirrors what registers would
-    # hold; the memory traffic (one RMW per round on the private cell)
-    # is still executed for timing honesty.
-    for r in range(rounds):
-        chunk = padded[r * w : (r + 1) * w]
-        active = chunk >= 0
-        addrs = np.where(active, mapping.address(np.clip(chunk, 0, bins - 1), lanes), -1)
-        prog = MemoryProgram(p=w)
-        prog.append(read(addrs, register="c"))
-        result = machine.run(prog)
-        time_units += result.time_units
-        total_stages += sum(t.schedule.total_stages for t in result.traces)
-        counts = result.registers["c"] + 1.0
-        out = MemoryProgram(p=w)
-        out.append(write(addrs, values=counts))
-        result = machine.run(out)
-        time_units += result.time_units
-        total_stages += sum(t.schedule.total_stages for t in result.traces)
+    # Each lane votes into its own column, hist[bin][lane].
+    time_units, total_stages = _vote(machine, votes, mapping.address)
 
     # Fold: thread grid w x w reads hist[bin][lane].
     bi, li = np.meshgrid(np.arange(bins), np.arange(w), indexing="ij")

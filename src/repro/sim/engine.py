@@ -56,7 +56,6 @@ from repro.sim.congestion_sim import (
     CongestionStats,
     RunningStats,
     _accumulate_matrix,
-    _accumulate_nd,
     _accumulate_nd_fast,
 )
 from repro.util.rng import SeedLike, as_generator, seed_fingerprint, spawn_seed_sequences
@@ -74,7 +73,6 @@ DEFAULT_SHARDS = 8
 #: ``(params..., trials, rng) -> RunningStats``.
 _SHARD_BODIES: dict[str, Callable[..., RunningStats]] = {
     "matrix": _accumulate_matrix,
-    "nd": _accumulate_nd,
     "nd_fast": _accumulate_nd_fast,
 }
 
@@ -229,13 +227,11 @@ class MonteCarloEngine:
         w: int,
         trials: int = 500,
         seed: SeedLike = None,
-        fast: bool = True,
     ) -> CongestionStats:
-        """Parallel/cached Table IV sampler (fast path by default)."""
+        """Parallel/cached Table IV sampler (the vectorized fast path)."""
         check_positive_int(w, "w")
         check_positive_int(trials, "trials")
-        kind = "nd_fast" if fast else "nd"
-        return self._run(kind, (scheme, pattern, w), trials, seed)
+        return self._run("nd_fast", (scheme, pattern, w), trials, seed)
 
     def map_trial_batches(
         self,

@@ -576,9 +576,7 @@ def table4(
         else:
             # The fast path covers the permutation-sum schemes and falls
             # back to the per-trial sampler for the table-based ones.
-            stats = engine.nd_congestion(
-                scheme, pattern, w, trials=n, seed=seq, fast=True
-            )
+            stats = engine.nd_congestion(scheme, pattern, w, trials=n, seed=seq)
             if journal is not None:
                 journal.record(key, stats.to_payload())
         result.stats[(pattern, scheme)] = stats
@@ -752,7 +750,7 @@ def adversary_table(
     widths: tuple[int, ...] = (32, 64, 128, 256, 512, 1024),
     seed: SeedLike = 2014,
     budget=None,
-    workers: int = 1,
+    engine: MonteCarloEngine | None = None,
     journal: "SweepJournal | None" = None,
 ):
     """Found-worst congestion per (mapping, width) — Theorem 2's tail.
@@ -764,6 +762,8 @@ def adversary_table(
     ``O(log w / log log w)``-class value against RAP no matter how
     hard it looks — the empirical content of Theorem 2.
 
+    Each cell's restarts run as shards of ``engine`` (an in-process one
+    when omitted); the result is the same for every worker count.
     ``journal`` checkpoints each completed cell (the full
     :class:`~repro.adversary.AdversaryResult` record, pattern and
     provenance included); resumed == fresh, bit for bit, because the
@@ -779,6 +779,7 @@ def adversary_table(
     from repro.util.rng import as_seed_sequence
 
     budget = _coerce_budget(budget)
+    engine = engine or MonteCarloEngine()
     sweep = AdversarySweep(widths=tuple(widths), mappings=tuple(mappings))
     seqs = as_seed_sequence(seed).spawn(len(mappings) * len(widths))
     k = 0
@@ -790,7 +791,7 @@ def adversary_table(
                 sweep.results[(mapping, w)] = AdversaryResult.from_dict(recorded)
             else:
                 result = find_worst_pattern(
-                    mapping, w, seed=seqs[k], budget=budget, workers=workers
+                    mapping, w, seed=seqs[k], budget=budget, engine=engine
                 )
                 sweep.results[(mapping, w)] = result
                 if journal is not None:

@@ -24,7 +24,6 @@ from repro.util.rng import SeedLike, spawn_generators, spawn_seed_sequences
 __all__ = [
     "GrowthSweep",
     "growth_sweep",
-    "adversarial_growth_sweep",
     "LatencySweep",
     "latency_sweep",
 ]
@@ -115,41 +114,6 @@ def growth_sweep(
             k += 1
         sweep.series[mapping] = values
     sweep.series["lnw/lnlnw"] = [log_over_loglog(w) for w in widths]
-    sweep.series["bound"] = [theorem2_expectation_bound(w) for w in widths]
-    return sweep
-
-
-def adversarial_growth_sweep(
-    mappings: tuple[str, ...] = ("RAW", "RAS", "RAP"),
-    widths: tuple[int, ...] = (32, 64, 128, 256),
-    seed: SeedLike = 2014,
-    budget=None,
-    workers: int = 1,
-    journal: "SweepJournal | None" = None,
-) -> GrowthSweep:
-    """Found-worst congestion vs width — Theorem 2's tail as a curve.
-
-    Where :func:`growth_sweep` measures a *named* pattern, this runs
-    the adversarial search of :mod:`repro.adversary` per cell and plots
-    what the worst found pattern achieves.  The result is a
-    :class:`GrowthSweep` (pattern ``"found-worst"``) so the existing
-    chart/report plumbing applies unchanged.  RAW's series is the
-    degenerate ``w`` line (the stride attack always lands); only the
-    RAS/RAP series are subject to the ``bound`` reference, which caps
-    the expected congestion of any *fixed* pattern under RAP.
-    """
-    from repro.sim.experiments import adversary_table
-
-    found = adversary_table(
-        mappings=mappings,
-        widths=widths,
-        seed=seed,
-        budget=budget,
-        workers=workers,
-        journal=journal,
-    )
-    sweep = GrowthSweep(pattern="found-worst", widths=tuple(widths))
-    sweep.series.update(found.series())
     sweep.series["bound"] = [theorem2_expectation_bound(w) for w in widths]
     return sweep
 

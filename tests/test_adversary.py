@@ -9,7 +9,6 @@ from repro.adversary import (
     BUDGET_NAMES,
     AdversaryResult,
     SearchBudget,
-    adversary_sweep,
     assemble_pattern,
     expected_worst_congestion,
     find_worst_pattern,
@@ -17,6 +16,9 @@ from repro.adversary import (
 )
 from repro.adversary.cli import main as adversary_main
 from repro.core.mappings import sample_shift_batch
+from repro.resilience.faults import builtin_worker_fault_plan
+from repro.sim.engine import MonteCarloEngine
+from repro.sim.experiments import adversary_table
 from repro.util.rng import as_generator
 
 TINY = SearchBudget.named("tiny")
@@ -163,9 +165,20 @@ class TestFindWorstPattern:
 
     def test_deterministic_across_worker_counts(self):
         """Fixed seed => bit-identical result for any worker count."""
-        serial = find_worst_pattern("RAP", 16, seed=7, budget=TINY, workers=1)
-        fanned = find_worst_pattern("RAP", 16, seed=7, budget=TINY, workers=2)
+        serial = find_worst_pattern("RAP", 16, seed=7, budget=TINY)
+        with MonteCarloEngine(workers=2) as engine:
+            fanned = find_worst_pattern("RAP", 16, seed=7, budget=TINY, engine=engine)
         assert serial == fanned
+
+    def test_killed_worker_is_retried_to_the_same_result(self):
+        """Restarts are engine shards: a worker killed mid-search is
+        retried and the result equals the fault-free serial one."""
+        serial = find_worst_pattern("RAP", 16, seed=7, budget=TINY)
+        plan = builtin_worker_fault_plan("kill-worker")
+        with MonteCarloEngine(workers=2, faults=plan) as engine:
+            chaos = find_worst_pattern("RAP", 16, seed=7, budget=TINY, engine=engine)
+        assert chaos == serial
+        assert engine.collector.retries
 
     def test_deterministic_across_calls(self):
         a = find_worst_pattern("RAS", 8, seed=5, budget=TINY)
@@ -195,7 +208,7 @@ class TestFindWorstPattern:
 
     def test_rejects_negative_workers(self):
         with pytest.raises(ValueError, match="workers"):
-            find_worst_pattern("RAP", 8, workers=-1)
+            find_worst_pattern("RAP", 8, engine=MonteCarloEngine(workers=-1))
 
 
 class TestAdversaryResult:
@@ -220,7 +233,7 @@ class TestAdversaryResult:
 
 class TestAdversarySweep:
     def test_series_and_trend(self):
-        sweep = adversary_sweep(
+        sweep = adversary_table(
             mappings=("RAW", "RAP"), widths=(8, 16), seed=2014, budget=TINY
         )
         series = sweep.series()
@@ -238,7 +251,6 @@ class TestAdversarySweep:
 class TestJournalResume:
     def test_resumed_sweep_skips_completed_cells(self, tmp_path, monkeypatch):
         from repro.resilience.journal import SweepJournal
-        from repro.sim.experiments import adversary_table
 
         path = tmp_path / "adv.journal"
         header = {"experiment": "adversary", "seed": 9}

@@ -3,17 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.access.transpose import transpose_program
 from repro.core.mappings import RAPMapping, RAWMapping
 from repro.dmm.machine import DiscreteMemoryMachine
 from repro.dmm.trace import INACTIVE, MemoryProgram, read
 from repro.gpu.analyzer import analyze_program
+from repro.gpu.kernel import transpose_kernel
 from repro.routing.offline import scheduled_permutation_program
 
 
 class TestAnalyzeProgram:
     def test_crsw_raw_profile(self):
-        prog = transpose_program("CRSW", RAWMapping(16))
+        prog = transpose_kernel("CRSW", RAWMapping(16)).program()
         d = analyze_program(prog, 16)
         assert d.per_instruction[0][:2] == ("read", 1)
         assert d.per_instruction[1][:2] == ("write", 16)
@@ -21,18 +21,18 @@ class TestAnalyzeProgram:
         assert d.total_stages == 16 + 16 * 16
 
     def test_crsw_rap_clean(self, rng):
-        prog = transpose_program("CRSW", RAPMapping.random(16, rng))
+        prog = transpose_kernel("CRSW", RAPMapping.random(16, rng)).program()
         d = analyze_program(prog, 16)
         assert d.worst == 1
         assert d.hotspots() == []
 
     def test_hotspots_identify_the_bad_instruction(self):
-        prog = transpose_program("SRCW", RAWMapping(8))
+        prog = transpose_kernel("SRCW", RAWMapping(8)).program()
         d = analyze_program(prog, 8)
         assert d.hotspots() == [0]  # the stride read
 
     def test_hotspot_threshold(self):
-        prog = transpose_program("CRSW", RAWMapping(8))
+        prog = transpose_kernel("CRSW", RAWMapping(8)).program()
         d = analyze_program(prog, 8)
         assert d.hotspots(threshold=9) == []
         assert d.hotspots(threshold=2) == [1]
@@ -40,7 +40,7 @@ class TestAnalyzeProgram:
     def test_matches_machine_stage_accounting(self, rng):
         """Static analysis must agree with the executor's stages."""
         mapping = RAPMapping.random(8, rng)
-        prog = transpose_program("DRDW", mapping)
+        prog = transpose_kernel("DRDW", mapping).program()
         d = analyze_program(prog, 8)
         machine = DiscreteMemoryMachine(8, 1, 2 * 64)
         machine.load(0, mapping.apply_layout(np.zeros((8, 8))))

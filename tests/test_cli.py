@@ -149,6 +149,20 @@ class TestMain:
 
 
     @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["adversary", "--workers", "-1"], "--workers"),
+            (["adversary", "--w", "0"], "--w"),
+            (["adversary", "--restarts", "0"], "--restarts"),
+            (["adversary", "--train-trials", "-3"], "--train-trials"),
+        ],
+    )
+    def test_bad_adversary_count_is_a_usage_error(self, argv, flag, capsys):
+        """An out-of-range adversary count exits 2 at the parser, not
+        with a ``ValueError`` traceback from the engine or the budget."""
+        _assert_usage_error(argv, flag, capsys)
+
+    @pytest.mark.parametrize(
         "command",
         [
             "table2", "table3", "table4", "apps", "sweep-all", "adversary",

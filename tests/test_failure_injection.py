@@ -8,9 +8,10 @@ and assert that the corresponding verifier reports the fault.
 import numpy as np
 import pytest
 
-from repro.access.transpose import run_transpose, transpose_program
+from repro.access.transpose import run_transpose, transpose_indices
 from repro.core.mappings import RAPMapping, RAWMapping
 from repro.dmm.machine import DiscreteMemoryMachine
+from repro.gpu.kernel import KernelStep, SharedMemoryKernel, transpose_kernel
 from repro.routing.coloring import validate_coloring
 from repro.routing.offline import scheduled_permutation_program
 
@@ -24,7 +25,7 @@ class TestTransposeVerificationCatchesCorruption:
         matrix = rng.random((w, w))
         machine = DiscreteMemoryMachine(w, 1, 2 * w * w)
         machine.load(0, mapping.apply_layout(matrix))
-        machine.run(transpose_program("CRSW", mapping))
+        machine.run(transpose_kernel("CRSW", mapping).program())
         # sabotage
         machine.memory.store[w * w + 3] += 1.0
         out = mapping.read_layout(machine.dump(w * w, w * w))
@@ -39,14 +40,14 @@ class TestTransposeVerificationCatchesCorruption:
         matrix = rng.random((w, w))
         machine = DiscreteMemoryMachine(w, 1, 2 * w * w)
         machine.load(0, mapping.apply_layout(matrix))
-        machine.run(transpose_program("CRSW", mapping))
+        machine.run(transpose_kernel("CRSW", mapping).program())
         out = other.read_layout(machine.dump(w * w, w * w))
         assert not np.array_equal(out, matrix.T)
 
     def test_in_place_transpose_is_actually_safe(self):
         """Counter-check of the model: because instructions are
         phase-sequential (all reads complete before any write issues),
-        an in-place transpose (b_base == a_base) is CORRECT on the
+        an in-place transpose (source and destination are one array) is CORRECT on the
         DMM.  A cycle-interleaved machine without that barrier would
         corrupt it — this pins the semantics we implement."""
         w = 4
@@ -54,7 +55,17 @@ class TestTransposeVerificationCatchesCorruption:
         matrix = np.arange(16.0).reshape(4, 4)
         machine = DiscreteMemoryMachine(w, 1, 2 * w * w)
         machine.load(0, mapping.apply_layout(matrix))
-        machine.run(transpose_program("CRSW", mapping, a_base=0, b_base=0))
+        (ri, rj), (wi, wj) = transpose_indices("CRSW", w)
+        in_place = SharedMemoryKernel(
+            w,
+            [
+                KernelStep("read", "a", ri, rj, register="c"),
+                KernelStep("write", "a", wi, wj, register="c"),
+            ],
+            arrays=("a",),
+            mapping=mapping,
+        )
+        machine.run(in_place.program())
         out = mapping.read_layout(machine.dump(0, w * w))
         assert np.array_equal(out, matrix.T)
 
@@ -65,7 +76,7 @@ class TestTransposeVerificationCatchesCorruption:
         matrix = np.arange(16.0).reshape(4, 4)
         machine = DiscreteMemoryMachine(w, 1, 3 * w * w)
         machine.load(2 * w * w, mapping.apply_layout(matrix))  # wrong spot
-        machine.run(transpose_program("CRSW", mapping))
+        machine.run(transpose_kernel("CRSW", mapping).program())
         out = mapping.read_layout(machine.dump(w * w, w * w))
         assert not np.array_equal(out, matrix.T)
 

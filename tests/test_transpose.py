@@ -7,10 +7,10 @@ from repro.access.transpose import (
     TRANSPOSE_NAMES,
     run_transpose,
     transpose_indices,
-    transpose_program,
 )
 from repro.core.mappings import MAPPING_NAMES, RAPMapping, RAWMapping, mapping_by_name
 from repro.dmm.machine import DiscreteMemoryMachine
+from repro.gpu.kernel import transpose_kernel
 
 
 class TestTransposeIndices:
@@ -56,22 +56,17 @@ class TestTransposeIndices:
 
 class TestTransposeProgram:
     def test_two_instructions(self):
-        prog = transpose_program("CRSW", RAWMapping(4))
+        prog = transpose_kernel("CRSW", RAWMapping(4)).program()
         assert len(prog) == 2
         assert prog.instructions[0].op == "read"
         assert prog.instructions[1].op == "write"
 
     def test_default_b_base(self):
-        prog = transpose_program("CRSW", RAWMapping(4))
+        prog = transpose_kernel("CRSW", RAWMapping(4)).program()
         assert prog.instructions[1].addresses.min() >= 16
 
-    def test_custom_bases(self):
-        prog = transpose_program("CRSW", RAWMapping(4), a_base=32, b_base=64)
-        assert prog.instructions[0].addresses.min() >= 32
-        assert prog.instructions[1].addresses.min() >= 64
-
     def test_thread_count(self):
-        assert transpose_program("DRDW", RAWMapping(8)).p == 64
+        assert transpose_kernel("DRDW", RAWMapping(8)).program().p == 64
 
 
 class TestCorrectness:
