@@ -12,9 +12,9 @@ Two legs, both pure analysis (no DMM execution, no Monte-Carlo):
     follows from gcd and coset arithmetic — *proving* the paper's
     Theorem 1 facts (contiguous and stride congestion exactly 1 under
     RAP) instead of re-discovering them by enumeration.  Patterns the
-    prover cannot close symbolically fall back to the enumeration in
-    :mod:`repro.gpu.analyzer`, and every result is tagged with
-    ``method="symbolic"`` or ``method="enumerate"``.
+    prover cannot close symbolically fall back to exact enumeration,
+    and every result is tagged with ``method="symbolic"`` or
+    ``method="enumerate"``.
 
 **Determinism & API-hygiene linter** (:mod:`repro.analysis.lint`)
     An AST pass over the library's own sources that enforces the

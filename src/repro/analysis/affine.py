@@ -26,8 +26,9 @@ Patterns that are *not* affine (``random`` draws indices, ``pairwise``
 uses a floor division) have no :class:`AffineAccess`; the prover falls
 back to enumeration for them.  :func:`AffineAccess.from_grids` goes
 the other way — it recognizes an affine form in a pair of concrete
-``(w, w)`` index grids, which is how :func:`repro.gpu.analyzer.analyze_kernel`
-upgrades kernel steps to symbolic analysis.
+``(w, w)`` index grids, which is how
+:func:`repro.analysis.certificates.certify_kernel` (and the kernel
+analyzer built on it) upgrades kernel steps to symbolic analysis.
 """
 
 from __future__ import annotations

@@ -49,17 +49,18 @@ from repro.analysis.absint import METHOD_ABSINT, abstract_step, step_recipe
 from repro.analysis.affine import AffineAccess
 from repro.analysis.prover import METHOD_ENUMERATE, METHOD_SYMBOLIC, symbolic_step
 from repro.core.congestion import congestion_batch
-from repro.core.mappings import ShiftedRowMapping
+from repro.core.mappings import AddressMapping, ShiftedRowMapping
 from repro.dmm.trace import INACTIVE, MemoryProgram
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.gpu.kernel import SharedMemoryKernel
+    from repro.gpu.kernel import KernelStep, SharedMemoryKernel
 
 __all__ = [
     "StepCertificate",
     "ProgramCertificate",
     "certify_kernel",
     "certify_program",
+    "step_congestions",
 ]
 
 
@@ -177,22 +178,87 @@ class ProgramCertificate:
         return "\n".join(lines)
 
 
-def _enumerate_step(addresses: np.ndarray, w: int) -> tuple[int, float, int, str]:
-    """Exact per-warp count of one instruction's flat addresses.
+def step_congestions(
+    step: "KernelStep", base: int, mapping: AddressMapping
+) -> np.ndarray:
+    """Exact per-warp congestion of one kernel step under one mapping.
 
-    One inactive-aware :func:`congestion_batch` call over every warp —
-    the same batched kernel the DMM executors run on — with the
-    undispatched warps (congestion 0) dropped before the summary.
+    The step's addresses are ``base + mapping.address(ii, jj)`` with
+    masked-out lanes set to :data:`~repro.dmm.trace.INACTIVE`; one
+    inactive-aware :func:`congestion_batch` call — the same batched
+    kernel the DMM executors run on — counts every warp (0 for a warp
+    that dispatches no lane).
     """
-    cong = congestion_batch(addresses.reshape(-1, w), w, inactive=INACTIVE)
+    w = mapping.w
+    addr = base + mapping.address(step.ii, step.jj)
+    if step.mask is not None:
+        addr = np.where(step.mask, addr, INACTIVE)
+    return congestion_batch(addr.reshape(-1, w), w, inactive=INACTIVE)
+
+
+def _summary(cong: np.ndarray, note: str) -> tuple[int, float, int, str]:
+    """``(worst, mean, total, argument)`` over the warps that dispatch
+    (congestion > 0).  The argument is ``note`` with ``{n}`` set to the
+    dispatched count, or says that no warp dispatches."""
     cong = cong[cong > 0]
     if cong.size == 0:
         return 0, 0.0, 0, "no active lane; the step dispatches no warp"
-    note = (
-        f"counted exactly over {cong.size} dispatched warp(s) of {w} lanes "
-        "(no symbolic rule applies)"
+    return (
+        int(cong.max()),
+        float(cong.mean()),
+        int(cong.sum()),
+        note.format(n=cong.size),
     )
-    return int(cong.max()), float(cong.mean()), int(cong.sum()), note
+
+
+def _counted(cong: np.ndarray, w: int) -> tuple[int, float, int, str]:
+    """Summary of a step counted warp by warp."""
+    return _summary(
+        cong,
+        f"counted exactly over {{n}} dispatched warp(s) of {w} lanes "
+        "(no symbolic rule applies)",
+    )
+
+
+def _first_tier(
+    step: "KernelStep", idx: int, base: int, mapping: AddressMapping
+) -> tuple[int, float, int, str, str]:
+    """``(worst, mean, total, argument, method)`` from the first tier
+    that closes the step: symbolic, then absint, then enumerate."""
+    w = mapping.w
+    # A base that is a multiple of w shifts every address by whole bank
+    # periods, so the per-warp bank pattern — and hence every closed
+    # form — is unchanged.
+    if base % w == 0:
+        if step.mask is None:
+            access = AffineAccess.from_grids(step.ii, step.jj, w)
+            proved = None if access is None else symbolic_step(access, mapping)
+            if proved is not None:
+                return (
+                    proved.worst, proved.mean, proved.total,
+                    proved.argument, METHOD_SYMBOLIC,
+                )
+        if isinstance(mapping, ShiftedRowMapping):
+            # No affine form, but if every warp factors into per-row
+            # full cosets (or stays row-local), the congestion is the
+            # residue-multiset closed form evaluated on this mapping's
+            # own shift vector — exact, no address enumerated.
+            abstract = abstract_step(step, w, index=idx)
+            recipe = step_recipe(abstract)
+            if recipe is not None:
+                cong = recipe.congestions(mapping.shifts[None, :])[0]
+                ks = sorted({int(g.k) for g in recipe.groups})
+                note = (
+                    f"abstract interpretation: {abstract.coset_warps} "
+                    f"coset warp(s) (k in {ks}) over {{n}} dispatched — "
+                    "congestion is the residue-multiset closed form of "
+                    "the draw, evaluated on this mapping's shifts"
+                )
+                worst, mean, total, argument = _summary(cong, note)
+                return worst, mean, total, argument, METHOD_ABSINT
+    cong = step_congestions(step, base, mapping)
+    worst, mean, total, argument = _counted(cong, w)
+    return worst, mean, total, argument, METHOD_ENUMERATE
 
 
 def certify_kernel(
@@ -200,97 +266,34 @@ def certify_kernel(
 ) -> ProgramCertificate:
     """Certify every step of an uncompiled kernel under its mapping.
 
-    Steps whose grids are full (no mask) and whose array base is a
-    multiple of ``w`` (true for all builtin mappings except padding,
-    whose per-row skew changes the bank arithmetic) are lifted through
+    Each step goes to the first tier that closes it.  Steps whose grids
+    are full (no mask) and whose array base is a multiple of ``w``
+    (true for all builtin mappings except padding, whose per-row skew
+    changes the bank arithmetic) are lifted through
     :meth:`AffineAccess.from_grids` and closed symbolically where the
-    prover has a rule; everything else is enumerated exactly.
+    prover has a rule; steps of a shifted-row mapping whose warps are
+    coset-structured are closed by the abstract interpreter; everything
+    else is enumerated exactly.
     """
-    w = kernel.w
-    mapping = kernel.mapping
     certs = []
     for idx, step in enumerate(kernel.steps):
-        base = kernel.bases[step.array]
-        cert = None
-        if step.mask is None and base % w == 0:
-            # A base that is a multiple of w shifts every address by
-            # whole bank periods, so the per-warp bank pattern — and
-            # hence the symbolic argument — is unchanged.
-            access = AffineAccess.from_grids(step.ii, step.jj, w)
-            if access is not None:
-                proved = symbolic_step(access, mapping)
-                if proved is not None:
-                    cert = StepCertificate(
-                        step=idx,
-                        op=step.op,
-                        array=step.array,
-                        worst=proved.worst,
-                        mean=proved.mean,
-                        total=proved.total,
-                        method=METHOD_SYMBOLIC,
-                        argument=proved.argument,
-                    )
-        if (
-            cert is None
-            and base % w == 0
-            and isinstance(mapping, ShiftedRowMapping)
-        ):
-            # Absint tier: no affine form, but if every warp factors
-            # into per-row full cosets (or stays row-local), the
-            # congestion is the residue-multiset closed form evaluated
-            # on this mapping's own shift vector — exact, no address
-            # enumerated.
-            abstract = abstract_step(step, w, index=idx)
-            recipe = step_recipe(abstract)
-            if recipe is not None:
-                cong = recipe.congestions(mapping.shifts[None, :])[0]
-                cong = cong[cong > 0]
-                if cong.size == 0:
-                    worst, mean, total = 0, 0.0, 0
-                    note = "no active lane; the step dispatches no warp"
-                else:
-                    worst = int(cong.max())
-                    mean = float(cong.mean())
-                    total = int(cong.sum())
-                    ks = sorted(
-                        {int(g.k) for g in recipe.groups}
-                    )
-                    note = (
-                        f"abstract interpretation: {abstract.coset_warps} "
-                        f"coset warp(s) (k in {ks}) over {cong.size} "
-                        "dispatched — congestion is the residue-multiset "
-                        "closed form of the draw, evaluated on this "
-                        "mapping's shifts"
-                    )
-                cert = StepCertificate(
-                    step=idx,
-                    op=step.op,
-                    array=step.array,
-                    worst=worst,
-                    mean=mean,
-                    total=total,
-                    method=METHOD_ABSINT,
-                    argument=note,
-                )
-        if cert is None:
-            addr = base + mapping.address(step.ii, step.jj)
-            flat = addr.ravel()
-            if step.mask is not None:
-                flat = np.where(step.mask.ravel(), flat, INACTIVE)
-            worst, mean, total, note = _enumerate_step(flat, w)
-            cert = StepCertificate(
+        worst, mean, total, argument, method = _first_tier(
+            step, idx, kernel.bases[step.array], kernel.mapping
+        )
+        certs.append(
+            StepCertificate(
                 step=idx,
                 op=step.op,
                 array=step.array,
                 worst=worst,
                 mean=mean,
                 total=total,
-                method=METHOD_ENUMERATE,
-                argument=note,
+                method=method,
+                argument=argument,
             )
-        certs.append(cert)
+        )
     return ProgramCertificate(
-        program=name, mapping=mapping.name, w=w, steps=tuple(certs)
+        program=name, mapping=kernel.mapping.name, w=kernel.w, steps=tuple(certs)
     )
 
 
@@ -314,7 +317,10 @@ def certify_program(
         )
     certs = []
     for idx, instr in enumerate(program):
-        worst, mean, total, note = _enumerate_step(instr.addresses, w)
+        worst, mean, total, note = _counted(
+            congestion_batch(instr.addresses.reshape(-1, w), w, inactive=INACTIVE),
+            w,
+        )
         certs.append(
             StepCertificate(
                 step=idx,

@@ -73,8 +73,9 @@ from repro.analysis.absint import (
     step_bound,
     step_recipe,
 )
-from repro.core.congestion import congestion_batch
-from repro.dmm.trace import INACTIVE
+from repro.analysis.certificates import step_congestions
+from repro.analysis.prover import METHOD_SYMBOLIC
+from repro.core.mappings import RAWMapping
 from repro.dmm.warp import warp_classes
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -97,7 +98,6 @@ __all__ = [
 #: stages for the batched executor.
 PLAN_FAMILIES = ("RAW", "RAS", "RAP")
 
-METHOD_SYMBOLIC = "symbolic"
 METHOD_DETERMINISTIC = "deterministic"
 METHOD_RESIDUAL = "residual"
 
@@ -303,14 +303,6 @@ def check_family_shifts(family: str, shifts: np.ndarray, w: int) -> None:
             )
 
 
-def _raw_congestions(step: "KernelStep", base: int, w: int) -> np.ndarray:
-    """Exact per-warp congestion under the zero-shift (RAW) member."""
-    addr = base + (step.ii * w + step.jj).ravel()
-    if step.mask is not None:
-        addr = np.where(step.mask.ravel(), addr, INACTIVE)
-    return congestion_batch(addr.reshape(-1, w), w, inactive=INACTIVE)
-
-
 def _step_verdict(
     step: "KernelStep", base: int, family: str, w: int, index: int
 ) -> dict:
@@ -337,7 +329,7 @@ def _step_verdict(
     elif family == "RAW":
         resolved = True
         method = METHOD_DETERMINISTIC
-        congestions = _raw_congestions(step, base, w)
+        congestions = step_congestions(step, base, RAWMapping(w))
         static_warps = active_warps
         argument = (
             "RAW is a singleton family (zero shifts): the exact "

@@ -8,41 +8,30 @@ access steps (the same :class:`~repro.gpu.kernel.KernelStep` grids a
 per step and per candidate layout, the worst and mean warp congestion
 — plus a plain-language recommendation.
 
-This is pure analysis (no DMM execution): it evaluates the mappings'
-bank functions directly, so it is fast enough to run inside a test
-suite as a regression guard on a kernel's conflict profile.
-
-Steps whose index grids are affine mod ``w`` (every deterministic
-pattern in the paper) are not even enumerated: they are *proved* by
-the symbolic prover (:mod:`repro.analysis.prover`) via gcd/coset
-arithmetic, and the resulting :class:`StepDiagnosis` carries
-``method="symbolic"``.  Enumeration remains the fallback for
-non-affine grids and mapping regimes with no closed form
-(``method="enumerate"``); the numbers are identical either way — the
-symbolic path is exact, not approximate.
+This is pure analysis (no DMM execution), fast enough to run inside a
+test suite as a regression guard on a kernel's conflict profile.  It
+is a view over :func:`~repro.analysis.certificates.certify_kernel`:
+each candidate's steps are certified by the same three tiers — the
+symbolic prover for affine grids (``method="symbolic"``), the abstract
+interpreter for coset-structured grids under a shifted-row mapping
+(``method="absint"``), and exact per-warp enumeration otherwise
+(``method="enumerate"``).  Masked lanes are honoured, and the numbers
+are exact in every tier, equal to what the machine counts at dispatch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
-import numpy as np
-
-from repro.core.congestion import congestion_batch
 from repro.core.mappings import AddressMapping, RAWMapping
-from repro.gpu.kernel import KernelStep
+from repro.gpu.kernel import KernelStep, SharedMemoryKernel
 from repro.util.rng import SeedLike
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.dmm.trace import MemoryProgram
 
 __all__ = [
     "StepDiagnosis",
     "KernelDiagnosis",
     "analyze_kernel",
-    "analyze_program",
-    "ProgramDiagnosis",
     "default_candidates",
 ]
 
@@ -60,8 +49,10 @@ class StepDiagnosis:
     worst, mean:
         Worst and mean per-warp congestion of the step.
     method:
-        ``"symbolic"`` if the value was proved by the affine prover,
-        ``"enumerate"`` if counted by brute force.  Exact either way.
+        The certificate tier that produced the values: ``"symbolic"``
+        (affine prover), ``"absint"`` (coset closed form of the
+        mapping's shifts) or ``"enumerate"`` (exact count).  Exact in
+        every tier.
     """
 
     step_index: int
@@ -142,74 +133,6 @@ class KernelDiagnosis:
         return grid + "\n\n" + self.recommendation()
 
 
-@dataclass(frozen=True)
-class ProgramDiagnosis:
-    """Per-instruction congestion profile of a compiled memory program.
-
-    Attributes
-    ----------
-    w:
-        Bank count.
-    per_instruction:
-        One ``(op, worst, mean, stages)`` tuple per instruction —
-        worst/mean warp congestion and total pipeline stages.
-    total_stages:
-        Program-wide stage count (the latency-independent cost).
-    method:
-        Always ``"enumerate"``: compiled programs carry physical
-        addresses with no logical structure left for the symbolic
-        prover to exploit (use :func:`analyze_kernel` pre-compilation
-        for proofs).
-    """
-
-    w: int
-    per_instruction: tuple[tuple[str, int, float, int], ...]
-    method: str = "enumerate"
-
-    @property
-    def total_stages(self) -> int:
-        return sum(row[3] for row in self.per_instruction)
-
-    @property
-    def worst(self) -> int:
-        """Worst warp congestion anywhere in the program."""
-        return max((row[1] for row in self.per_instruction), default=0)
-
-    def hotspots(self, threshold: int = 2) -> list[int]:
-        """Indices of instructions whose worst congestion >= threshold."""
-        return [
-            idx
-            for idx, row in enumerate(self.per_instruction)
-            if row[1] >= threshold
-        ]
-
-
-def analyze_program(program: "MemoryProgram", w: int) -> ProgramDiagnosis:
-    """Profile a compiled :class:`~repro.dmm.trace.MemoryProgram`.
-
-    Unlike :func:`analyze_kernel` (which works on logical index grids
-    pre-mapping), this inspects the *physical* addresses of an already
-    compiled program — so it can lint anything that produces a
-    program, including the strided app kernels.  No execution: only
-    the per-warp congestion arithmetic.
-    """
-    from repro.core.congestion import warp_congestion
-    from repro.dmm.trace import INACTIVE
-
-    rows = []
-    for instr in program:
-        grouped = instr.addresses.reshape(-1, w)
-        congs = []
-        for warp_row in grouped:
-            active = warp_row[warp_row != INACTIVE]
-            if active.size:
-                congs.append(warp_congestion(active, w))
-        worst = max(congs, default=0)
-        mean = float(np.mean(congs)) if congs else 0.0
-        rows.append((instr.op, worst, mean, sum(congs)))
-    return ProgramDiagnosis(w=w, per_instruction=tuple(rows))
-
-
 def default_candidates(w: int, seed: SeedLike = 0) -> list[AddressMapping]:
     """The standard line-up: RAW, RAP, and (for power-of-two w) XOR."""
     from repro.core.mappings import RAPMapping
@@ -240,63 +163,32 @@ def analyze_kernel(
         Layouts to evaluate (default: :func:`default_candidates`).
     seed:
         Seed for the randomized default candidates.
+
+    Raises :class:`ValueError` when ``candidates`` is empty, when a
+    candidate's width is not ``w``, or when a step grid is not
+    ``(w, w)``.
     """
+    from repro.analysis.certificates import certify_kernel
+
     if candidates is None:
         candidates = default_candidates(w, seed)
+    if not candidates:
+        raise ValueError("candidates must hold at least one layout")
+    arrays = tuple(dict.fromkeys(step.array for step in steps))
     diagnosis = KernelDiagnosis(w=w)
     for mapping in candidates:
-        if mapping.w != w:
-            raise ValueError(
-                f"candidate {mapping.name} has width {mapping.w}, kernel has {w}"
+        cert = certify_kernel(SharedMemoryKernel(w, steps, arrays, mapping=mapping))
+        diagnosis.steps.extend(
+            StepDiagnosis(
+                step_index=s.step,
+                op=s.op,
+                array=s.array,
+                layout=mapping.name,
+                worst=s.worst,
+                mean=s.mean,
+                method=s.method,
             )
-        total = 0.0
-        for index, step in enumerate(steps):
-            if step.ii.shape != (w, w):
-                raise ValueError(
-                    f"step {index} grids must be ({w}, {w}), got {step.ii.shape}"
-                )
-            symbolic = _try_symbolic(step, mapping, w)
-            if symbolic is not None:
-                worst, mean, step_total, method = symbolic
-            else:
-                cong = congestion_batch(mapping.address(step.ii, step.jj), w)
-                worst = int(cong.max())
-                mean = float(cong.mean())
-                step_total = float(cong.sum())
-                method = "enumerate"
-            diagnosis.steps.append(
-                StepDiagnosis(
-                    step_index=index,
-                    op=step.op,
-                    array=step.array,
-                    layout=mapping.name,
-                    worst=worst,
-                    mean=mean,
-                    method=method,
-                )
-            )
-            total += float(step_total)
-        diagnosis.totals[mapping.name] = total
+            for s in cert.steps
+        )
+        diagnosis.totals[mapping.name] = float(cert.total_stages)
     return diagnosis
-
-
-def _try_symbolic(
-    step: KernelStep, mapping: AddressMapping, w: int
-) -> tuple[int, float, float, str] | None:
-    """Prove a step's congestion instead of enumerating it, if possible.
-
-    Returns ``(worst, mean, total, "symbolic")`` with values identical
-    to what enumeration would count (the prover is exact), or ``None``
-    when the grids are not affine or the mapping regime has no closed
-    form.
-    """
-    from repro.analysis.affine import AffineAccess
-    from repro.analysis.prover import symbolic_step
-
-    access = AffineAccess.from_grids(step.ii, step.jj, w)
-    if access is None:
-        return None
-    proved = symbolic_step(access, mapping)
-    if proved is None:
-        return None
-    return proved.worst, proved.mean, float(proved.total), "symbolic"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.access.transpose import transpose_indices
-from repro.core.mappings import RAPMapping, RAWMapping
+from repro.core.mappings import RAPMapping, RAWMapping, mapping_by_name
 from repro.gpu.analyzer import analyze_kernel, default_candidates
 from repro.gpu.kernel import KernelStep
 
@@ -79,6 +79,10 @@ class TestAnalyzeKernel:
         with pytest.raises(ValueError):
             analyze_kernel(8, crsw_steps(16))
 
+    def test_empty_candidates_rejected(self):
+        with pytest.raises(ValueError, match="at least one layout"):
+            analyze_kernel(8, crsw_steps(8), candidates=[])
+
 
 class TestSymbolicMethod:
     """analyze_kernel closes affine steps symbolically, and says so."""
@@ -94,12 +98,25 @@ class TestSymbolicMethod:
         assert d.totals["RAW"] == 16 * 17
         assert d.totals["RAP"] == 32
 
-    def test_non_affine_step_enumerates(self):
+    def test_non_affine_step_closes_by_absint(self):
+        """The pairwise grid has no affine form, but every warp is
+        row-local or coset-structured: the abstract interpreter closes
+        it under the shifted-row layouts, with the enumerated numbers.
+        XOR is not a shifted-row layout, so it still enumerates."""
         from repro.access.patterns import pairwise_logical
+        from repro.core.swizzle import XORSwizzleMapping
 
         ii, jj = pairwise_logical(16)
-        d = analyze_kernel(16, [KernelStep("read", "a", ii, jj)], seed=1)
-        assert all(s.method == "enumerate" for s in d.steps)
+        candidates = [mapping_by_name(n, 16, 1) for n in ("RAW", "RAS", "RAP")]
+        candidates.append(XORSwizzleMapping(16))
+        d = analyze_kernel(16, [KernelStep("read", "a", ii, jj)], candidates=candidates)
+        assert [(s.layout, s.worst, s.mean, s.method) for s in d.steps] == [
+            ("RAW", 1, 1.0, "absint"),
+            ("RAS", 1, 1.0, "absint"),
+            ("RAP", 1, 1.0, "absint"),
+            ("XOR", 1, 1.0, "enumerate"),
+        ]
+        assert d.totals == {"RAW": 16.0, "RAS": 16.0, "RAP": 16.0, "XOR": 16.0}
 
     def test_render_shows_method_column(self):
         d = analyze_kernel(16, crsw_steps(16), seed=1)
@@ -108,11 +125,11 @@ class TestSymbolicMethod:
 
     def test_program_diagnosis_stays_enumerated(self):
         """Compiled programs carry physical addresses — no symbolic
-        structure to recover, so the method field says enumerate."""
+        structure to recover, so every step's method says enumerate."""
+        from repro.analysis.certificates import certify_program
         from repro.dmm.trace import MemoryProgram, read
-        from repro.gpu.analyzer import analyze_program
 
         prog = MemoryProgram(p=16)
         prog.append(read(np.arange(16)))
-        d = analyze_program(prog, 16)
-        assert d.method == "enumerate"
+        cert = certify_program(prog, 16)
+        assert [s.method for s in cert.steps] == ["enumerate"]

@@ -11,11 +11,14 @@ import pytest
 
 from repro.access.patterns import pattern_addresses
 from repro.access.transpose import TRANSPOSE_NAMES, run_transpose, transpose_indices
+from repro.analysis.certificates import certify_program
+from repro.apps import BUILTIN_PROGRAMS, build_app_program
 from repro.core.congestion import bank_loads_batch, congestion_batch
 from repro.core.mappings import MAPPING_NAMES, RAPMapping, mapping_by_name
-from repro.gpu.analyzer import analyze_kernel, analyze_program
+from repro.gpu.analyzer import analyze_kernel
 from repro.gpu.kernel import KernelStep, transpose_kernel
 from repro.report.heatmap import bank_heatmap
+from repro.util.rng import as_generator
 
 
 class TestAnalyzerVsExecutor:
@@ -38,13 +41,30 @@ class TestAnalyzerVsExecutor:
         )
         assert static.totals[mapping.name] == dynamic
 
+    @pytest.mark.parametrize("mapping_name", ["RAW", "RAS", "RAP"])
+    @pytest.mark.parametrize("app", sorted(BUILTIN_PROGRAMS))
+    def test_app_totals_equal_machine_stages(self, app, mapping_name):
+        """Masked steps included: the analyzer counts only active lanes,
+        as the machine does at dispatch."""
+        w, seed = 16, 3
+        mapping = mapping_by_name(mapping_name, w, seed)
+        kernel = build_app_program(app, mapping, seed=seed)
+        static = analyze_kernel(kernel.w, kernel.steps, candidates=[kernel.mapping])
+        machine = kernel.make_machine()
+        data = as_generator(seed)
+        for name in kernel.inputs:
+            kernel.load_array(machine, name, data.random((w, w)))
+        result = machine.run(kernel.program())
+        dynamic = sum(t.schedule.total_stages for t in result.traces)
+        assert static.totals[mapping.name] == dynamic
+
     def test_program_analyzer_equals_kernel_analyzer(self, rng):
-        """Two analyzer entry points, one answer."""
+        """The compiled program and its logical steps, one answer."""
         w = 8
         mapping = RAPMapping.random(w, rng)
         kernel = transpose_kernel("CRSW", mapping)
         via_kernel = analyze_kernel(w, kernel.steps, candidates=[mapping])
-        via_program = analyze_program(kernel.program(), w)
+        via_program = certify_program(kernel.program(), w)
         assert via_program.total_stages == via_kernel.totals["RAP"]
 
 
