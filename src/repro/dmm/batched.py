@@ -14,20 +14,25 @@ through every array.  Its one program form is the
   per-draw lookup tables just before the instruction runs,
 * per-instruction congestion is the plan compiler's planned matrix
   when it has one, else the step's static per-warp congestions plus
-  one :func:`warp_congestion_block` sort over the pre-staged bank keys
-  of its dynamic warps, all ``T`` trials at once,
+  its dynamic warps' counts from the pre-staged bank keys, all ``T``
+  trials at once,
 * registers are ``(T, p)`` blocks and memory is a
   :class:`~repro.dmm.memory.BatchedMemory` of ``T`` images,
 * :class:`~repro.dmm.mmu.StageSchedule` timing arithmetic runs as
-  ``(T,)`` vector ops (:func:`~repro.dmm.mmu.batch_completion_times`).
+  vector ops (:func:`~repro.dmm.mmu.batch_completion_times`).
 
-Each step has a timing half (:func:`step_timing`, the one definition of
-the timing rules here) and a data half (gathers, scatters, registers).
-:meth:`BatchedDMM.run` executes both.  :meth:`BatchedDMM.time`, for
-callers that keep only ``time_units``, runs only the timing half: a
-step's time depends only on its per-warp congestions, and staged
-addresses never depend on data, so it never gathers an address block
-or touches memory.
+Each step has a timing half (:func:`step_timing`) and a data half
+(gathers, scatters, registers).  :meth:`BatchedDMM.run` executes both,
+one step at a time, counting each step's dynamic warps with one
+:func:`warp_congestion_block` sort.  :meth:`BatchedDMM.time`, for
+callers that keep only ``time_units``, runs only the timing half, and
+for the whole program at once: a step's time depends only on its
+per-warp congestions, and staged addresses never depend on data, so it
+counts the dynamic warps of many consecutive steps per sort (blocks of
+about ``_BLOCK_ADDRESSES`` keys, laid out once per kernel by
+:class:`TimingLayout`), never gathers an address block and never
+touches memory.  Both apply one timing rule,
+:func:`~repro.dmm.mmu.batch_completion_times`.
 
 The contract is exactness, not approximation: for every trial ``t``,
 per-step congestions, total time units, final memory, and final
@@ -52,7 +57,7 @@ import numpy.typing as npt
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dmm.backends import PlanBackend
 
-from repro.core.congestion import max_run_lengths
+from repro.core.congestion import _BLOCK_ADDRESSES, max_run_lengths
 from repro.dmm.backends.base import NumpyBackend
 from repro.dmm.memory import BatchedMemory
 from repro.dmm.mmu import batch_completion_times
@@ -63,6 +68,7 @@ __all__ = [
     "BatchedInstruction",
     "BatchedProgram",
     "StaticInstruction",
+    "TimingLayout",
     "BatchedInstructionTrace",
     "BatchedExecutionResult",
     "BatchedDMM",
@@ -133,20 +139,18 @@ def step_timing(
 
     A *fully static* step (constant per-warp congestion, empty
     dynamic-warp set — every plan-resolved step, and every step whose
-    warps are all row-local or empty) takes
-    :class:`~repro.dmm.mmu.StageSchedule`'s closed form on its constant
-    total; every other step counts with :func:`instruction_congestions`
-    and runs :func:`~repro.dmm.mmu.batch_completion_times`.  The host
-    instruction loop and :meth:`BatchedDMM.time` both time steps here,
-    so the rules exist once.
+    warps are all row-local or empty) broadcasts its constant
+    congestions; every other step counts with
+    :func:`instruction_congestions`.  Either way the times are
+    :func:`~repro.dmm.mmu.batch_completion_times` of the per-trial
+    totals, the rule :meth:`BatchedDMM.time` applies to a whole program.
     """
     trials, latency = machine.trials, machine.latency
     static, dyn = static_congestions, dynamic_warps
     if static is not None and dyn is not None and dyn.size == 0:
         cong = np.broadcast_to(static[None, :], (trials, static.size))
-        total = int(static.sum())
-        per_trial = total + latency - 1 if total > 0 else 0
-        return cong, np.full(trials, per_trial, dtype=np.int64)
+        totals = np.full(trials, static.sum(), dtype=np.int64)
+        return cong, batch_completion_times(totals, latency)
     cong = instruction_congestions(
         static, dyn, bank_keys, planned, machine.w, trials, count_warps
     )
@@ -207,6 +211,77 @@ class StaticInstruction:
     max_address: int
 
 
+@dataclass(frozen=True)
+class TimingLayout:
+    """The draw-independent half of :meth:`BatchedDMM.time`.
+
+    One program's steps as the blocked congestion count reads them; it
+    holds arrays only, never the steps, so it keeps no staging alive.
+    :meth:`repro.gpu.kernel.SharedMemoryKernel.program_batch` builds it
+    once per kernel beside the memoized static staging; a plan-staged
+    program builds its own on first use.
+
+    Attributes
+    ----------
+    static_totals:
+        ``(n_steps,)`` summed congestion of each step's static warps
+        (0 for a step counted from a planned matrix).
+    planned_steps:
+        Indices of the steps counted from a planned matrix.
+    key_columns:
+        Key-table columns of every dynamic warp of every step, in step
+        and warp order, ``w`` per warp.
+    dynamic_steps:
+        Indices of the steps with at least one dynamic warp, in order.
+    warp_starts:
+        Each dynamic step's first warp among all dynamic warps.
+    """
+
+    static_totals: np.ndarray
+    planned_steps: tuple[int, ...]
+    key_columns: np.ndarray
+    dynamic_steps: np.ndarray
+    warp_starts: np.ndarray
+
+    @classmethod
+    def of(cls, steps: Sequence[StaticInstruction]) -> "TimingLayout":
+        static_totals = np.zeros(len(steps), dtype=np.int64)
+        planned_steps: list[int] = []
+        columns: list[np.ndarray] = []
+        dynamic_steps: list[int] = []
+        warp_starts: list[int] = []
+        n_warps = 0
+        for index, step in enumerate(steps):
+            static, dyn = step.static_congestions, step.dynamic_warps
+            if static is None or dyn is None or step.key_columns is None:
+                planned_steps.append(index)
+                continue
+            # A counted warp's congestion replaces its static entry.
+            static_totals[index] = static.sum() - static[dyn].sum()
+            if dyn.size:
+                columns.append(step.key_columns)
+                dynamic_steps.append(index)
+                warp_starts.append(n_warps)
+                n_warps += dyn.size
+        # The layout lives as long as its kernel, beside the steps' own
+        # int64 columns: hold it in half the words when it fits (it
+        # indexes the key table, never memory).
+        top = max((int(c.max()) for c in columns), default=0)
+        narrow = np.int32 if top <= np.iinfo(np.int32).max else np.int64  # repro: noqa[ADDR001]
+        key_columns = np.concatenate(
+            columns or [np.empty(0, dtype=np.int64)],
+            dtype=narrow,
+            casting="same_kind",
+        )
+        return cls(
+            static_totals=static_totals,
+            planned_steps=tuple(planned_steps),
+            key_columns=key_columns,
+            dynamic_steps=np.array(dynamic_steps, dtype=np.int64),
+            warp_starts=np.array(warp_starts, dtype=np.int64),
+        )
+
+
 @dataclass
 class BatchedInstruction:
     """One step of a :class:`BatchedProgram`, gathered for all ``T`` trials.
@@ -246,22 +321,27 @@ class BatchedProgram:
     Pairs draw-independent :class:`StaticInstruction` steps with one
     batch of ``T`` draws' lookup tables:
 
-    * ``address_tables``, one ``(T, p + 1)`` int64 table per kernel
-      array: column ``i*w + j`` holds trial ``t``'s flat store index of
-      element ``(i, j)`` (``t * flat_stride`` plus its address), column
-      ``p`` the trial's scratch index ``t * flat_stride - 1``;
     * ``key_table``, ``(T, 2p)``: column ``i*w + j`` holds trial
       ``t``'s bank ``(j + s[t, i]) mod w``, column ``p + lane`` the
       lane's sentinel in ``[w, 2w)``; ``None`` when no step counts
-      bank keys.
+      bank keys;
+    * ``flat_addresses``, ``(T, p)``: trial ``t``'s flat store index of
+      element ``(i, j)`` relative to the first array (``t *
+      flat_stride`` plus its address), and ``bases``, each kernel
+      array's first word.  :meth:`address_table` turns them into one
+      ``(T, p + 1)`` int64 table per array — column ``p`` holding the
+      trial's scratch index ``t * flat_stride - 1`` — on the first
+      gather from that array, so a time-only run builds none.
 
     ``flat_stride`` is the memory stride the tables assume; a machine
     with another stride refuses the program.  ``planned`` holds each
-    step's ``(T, n_warps)`` planned congestion matrix or ``None``.
-    Iterating yields one :class:`BatchedInstruction` at a time, its
-    ``(T, p)`` address block and bank keys taken from the tables just
-    then (:meth:`step_addresses`, :meth:`step_keys`), so an executor
-    holds one instruction's block, not the whole program's.
+    step's ``(T, n_warps)`` planned congestion matrix or ``None``, and
+    ``layout`` the steps' :class:`TimingLayout` when the stager has one
+    (else it is built on first use).  Iterating yields one
+    :class:`BatchedInstruction` at a time, its ``(T, p)`` address block
+    and bank keys taken from the tables just then
+    (:meth:`step_addresses`, :meth:`step_keys`), so an executor holds
+    one instruction's block, not the whole program's.
     :attr:`instructions` gathers every step.
     """
 
@@ -270,10 +350,12 @@ class BatchedProgram:
         p: int,
         trials: int,
         steps: Sequence[StaticInstruction],
-        address_tables: Sequence[np.ndarray],
+        flat_addresses: np.ndarray,
+        bases: Sequence[int],
         key_table: Optional[np.ndarray],
         flat_stride: int,
         planned: Sequence[Optional[np.ndarray]],
+        layout: Optional[TimingLayout] = None,
     ) -> None:
         if len(planned) != len(steps):
             raise ValueError(
@@ -282,11 +364,40 @@ class BatchedProgram:
         self.p = check_positive_int(p, "p")
         self.trials = check_positive_int(trials, "trials")
         self.steps = tuple(steps)
-        self.address_tables = tuple(address_tables)
+        self.flat_addresses = flat_addresses
+        self.bases = tuple(bases)
         self.key_table = key_table
         self.flat_stride = flat_stride
         self.planned = tuple(planned)
+        self._layout = layout
+        self._tables: list[Optional[np.ndarray]] = [None] * len(self.bases)
         self._no_keys = np.empty((trials, 0), dtype=np.int64)
+
+    @property
+    def layout(self) -> TimingLayout:
+        """The steps' :class:`TimingLayout`, built on first use if the
+        stager passed none."""
+        if self._layout is None:
+            self._layout = TimingLayout.of(self.steps)
+        return self._layout
+
+    def address_table(self, index: int) -> np.ndarray:
+        """Array ``index``'s ``(T, p + 1)`` flat-index table, built on
+        first use."""
+        table = self._tables[index]
+        if table is None:
+            table = np.empty((self.trials, self.p + 1), dtype=np.int64)
+            np.add(self.flat_addresses, self.bases[index], out=table[:, : self.p])
+            table[:, self.p] = (
+                np.arange(self.trials, dtype=np.int64) * self.flat_stride + INACTIVE
+            )
+            self._tables[index] = table
+        return table
+
+    @property
+    def address_tables(self) -> tuple[np.ndarray, ...]:
+        """Every array's :meth:`address_table`."""
+        return tuple(self.address_table(k) for k in range(len(self.bases)))
 
     @property
     def instructions(self) -> list[BatchedInstruction]:
@@ -305,7 +416,7 @@ class BatchedProgram:
 
     def step_addresses(self, step: StaticInstruction) -> np.ndarray:
         """One step's ``(T, p)`` address block, gathered from its table."""
-        return np.take(self.address_tables[step.table], step.columns, axis=1)
+        return np.take(self.address_table(step.table), step.columns, axis=1)
 
     def step_keys(self, step: StaticInstruction) -> Optional[np.ndarray]:
         """One step's dynamic-warp bank keys, ``(T, len(dynamic_warps) * w)``
@@ -442,7 +553,19 @@ class BatchedDMM:
         self.w = check_positive_int(w, "w")
         self.latency = check_latency(latency)
         self.trials = check_positive_int(trials, "trials")
-        self.memory = BatchedMemory(w, memory_size, trials, dtype=dtype)
+        self.memory_size = check_positive_int(memory_size, "size")
+        self.dtype = np.dtype(dtype)
+        self._memory: Optional[BatchedMemory] = None
+
+    @property
+    def memory(self) -> BatchedMemory:
+        """The ``T`` memory images, allocated on first data use (a
+        time-only run never allocates them)."""
+        if self._memory is None:
+            self._memory = BatchedMemory(
+                self.w, self.memory_size, self.trials, dtype=self.dtype
+            )
+        return self._memory
 
     def load(self, base: int, values: np.ndarray) -> None:
         """Pre-load values (broadcast over trials) starting at ``base``."""
@@ -459,14 +582,16 @@ class BatchedDMM:
                 f"p={program.p} is not a multiple of warp width {self.w}"
             )
         top = program.max_address()
-        if top >= self.memory.size:
+        if top >= self.memory_size:
             raise IndexError(
-                f"program touches address {top}, memory size {self.memory.size}"
+                f"program touches address {top}, memory size {self.memory_size}"
             )
-        if program.flat_stride != self.memory.stride:
+        # BatchedMemory's stride: each trial's words plus its scratch cell.
+        stride = self.memory_size + 1
+        if program.flat_stride != stride:
             raise ValueError(
                 f"program staged for memory stride {program.flat_stride}, "
-                f"machine has {self.memory.stride}"
+                f"machine has {stride}"
             )
 
     def run(self, program: BatchedProgram) -> BatchedExecutionResult:
@@ -480,24 +605,47 @@ class BatchedDMM:
         Under the DMM cost model a step's time depends only on its
         per-warp congestions, and a staged program's addresses — hence
         its bank keys — come from the shift draws alone, never from the
-        data.  So after :meth:`run`'s checks, each step is timed by
-        :func:`step_timing` from its static congestions, its planned
-        matrix, or its dynamic warps' keys taken from the program's key
-        table.  No address block is gathered, memory is never read or
-        written, and no register is built.
+        data.  So after :meth:`run`'s checks the program is timed whole,
+        from its :class:`TimingLayout`: a ``(T, n_steps)`` matrix of
+        per-step totals starts at the static totals, takes each planned
+        step's matrix sums, and adds the dynamic warps' counts.  Those
+        are counted in blocks of consecutive warps, about
+        ``_BLOCK_ADDRESSES`` keys each, so one block spans many steps:
+        per block one gather from the key table, one in-place row sort
+        and one :func:`max_run_lengths`; then one ``np.add.reduceat``
+        turns the warps' counts into per-step sums.  One
+        :func:`~repro.dmm.mmu.batch_completion_times` over the matrix
+        and a sum over steps give the times.  No address block is
+        gathered, memory is never allocated, read or written, and no
+        register is built.
         """
         self._check_program(program)
-        time_units = np.zeros(self.trials, dtype=np.int64)
-        for step, planned in zip(program.steps, program.planned):
-            _, times = step_timing(
-                self,
-                step.static_congestions,
-                step.dynamic_warps,
-                program.step_keys(step),
-                planned,
+        layout = program.layout
+        w, trials = self.w, self.trials
+        totals = np.empty((trials, len(program.steps)), dtype=np.int64)
+        totals[:] = layout.static_totals
+        for index in layout.planned_steps:
+            planned = program.planned[index]
+            assert planned is not None  # staging pairs every such step with one
+            totals[:, index] = planned.sum(axis=1)
+        n_warps = layout.key_columns.size // w
+        per_block = max(1, _BLOCK_ADDRESSES // (trials * w))
+        key_table = program.key_table
+        # Every dynamic warp's congestion, in layout order; a warp
+        # congestion is at most w, so 32 bits hold it.
+        runs = np.empty((trials, n_warps), dtype=np.int32)  # repro: noqa[ADDR001]
+        for first in range(0, n_warps, per_block):
+            assert key_table is not None  # staged whenever a warp is dynamic
+            last = min(first + per_block, n_warps)
+            keys = np.take(key_table, layout.key_columns[first * w : last * w], axis=1)
+            rows = keys.reshape(-1, w)
+            rows.sort(axis=1)
+            runs[:, first:last] = max_run_lengths(rows).reshape(trials, last - first)
+        if n_warps:
+            totals[:, layout.dynamic_steps] += np.add.reduceat(
+                runs, layout.warp_starts, axis=1, dtype=np.int64
             )
-            time_units += times
-        return time_units
+        return batch_completion_times(totals, self.latency).sum(axis=1)
 
     def execute_plan(
         self,

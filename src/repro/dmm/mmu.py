@@ -32,13 +32,14 @@ __all__ = ["StageSchedule", "PipelinedMMU", "batch_completion_times"]
 
 
 def batch_completion_times(total_stages: np.ndarray, latency: int) -> np.ndarray:
-    """Vectorized :attr:`StageSchedule.completion_time` over trials.
+    """Vectorized :attr:`StageSchedule.completion_time`, elementwise.
 
-    ``total_stages`` holds each trial's summed warp congestions for one
-    instruction; the completion time is ``total + l - 1``, or 0 where
-    nothing was issued (no warp dispatched).  Used by the batched DMM
-    executor (:mod:`repro.dmm.batched`) so the timing arithmetic never
-    leaves numpy.
+    Each entry of ``total_stages`` is one instruction's summed warp
+    congestions in one trial; its completion time is ``total + l - 1``,
+    or 0 where nothing was issued (no warp dispatched).  The batched DMM
+    executor (:mod:`repro.dmm.batched`) applies it to a ``(T,)`` vector
+    per instruction and to a ``(T, n_steps)`` matrix per program, so the
+    timing rule is written once and never leaves numpy.
     """
     check_latency(latency)
     total_stages = np.asarray(total_stages)

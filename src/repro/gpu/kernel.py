@@ -29,6 +29,7 @@ from repro.dmm.batched import (
     BatchedExecutionResult,
     BatchedProgram,
     StaticInstruction,
+    TimingLayout,
 )
 from repro.dmm.machine import DiscreteMemoryMachine, ExecutionResult
 from repro.dmm.trace import INACTIVE, MemoryProgram, read, write
@@ -280,7 +281,9 @@ class SharedMemoryKernel:
         self.steps = tuple(steps)
         for step in self.steps:
             self._check(step)
-        self._static: Optional[tuple[StaticInstruction, ...]] = None
+        self._static: Optional[
+            tuple[tuple[StaticInstruction, ...], TimingLayout]
+        ] = None
         if inputs is None:
             self.inputs = self._inferred_inputs()
         else:
@@ -368,13 +371,18 @@ class SharedMemoryKernel:
           every merged or inactive lane — is the same for every draw;
         * a *per-draw* half: a ``(T, 2p)`` table of the banks
           ``(j + shifts[t, i]) mod w`` plus the lane sentinels (built
-          only when some step counts bank keys), and per array a
-          ``(T, p + 1)`` table of flat store indices.
+          only when some step counts bank keys), and a ``(T, p)``
+          matrix of flat store indices from which the program builds a
+          ``(T, p + 1)`` table per array on the first gather from it.
 
-        The result is a :class:`~repro.dmm.batched.BatchedProgram`:
+        The static half also yields the steps'
+        :class:`~repro.dmm.batched.TimingLayout`, which
+        :meth:`~repro.dmm.batched.BatchedDMM.time` counts congestion
+        from.  The result is a :class:`~repro.dmm.batched.BatchedProgram`:
         each instruction's ``(T, p)`` address block and bank keys are
         gathered from the tables only as the executor reaches it, so a
-        run holds one instruction's block at a time.
+        run holds one instruction's block at a time, and a time-only run
+        gathers no address at all.
 
         With ``plan`` (a :class:`~repro.analysis.plan.CompiledPlan` or
         its step sequence, compiled from this kernel), the plan's
@@ -401,7 +409,7 @@ class SharedMemoryKernel:
         trials = shifts.shape[0]
         w = self.w
         p = w * w
-        steps, recipes = self._static_staging(plan)
+        steps, recipes, layout = self._static_staging(plan)
         # Row i of trial t is the rotation of range(w) by shifts[t, i]:
         # one row lookup in the (w, w) rotation table, no modulo.
         cols = np.arange(w, dtype=np.int64)
@@ -410,26 +418,19 @@ class SharedMemoryKernel:
         if any(s.key_columns is not None and s.key_columns.size for s in steps):
             # Bank values and sentinels both fit comfortably in int16
             # for any realistic width; the narrow dtype roughly halves
-            # the cost of the executor's per-instruction key sort.
+            # the cost of the executor's key sort.
             key_dtype = np.int16 if 2 * w <= np.iinfo(np.int16).max else np.int64  # repro: noqa[ADDR001]
             key_table = np.empty((trials, 2 * p), dtype=key_dtype)
             key_table[:, :p] = banks
             key_table[:, p:] = _sentinels(w)
-        # One address table per array, each trial's flat memory offset
-        # (stride of the machine make_batched_machine builds) baked in:
-        # a step's address block is one gather, with no add, and an
-        # inactive lane's scratch column yields the trial's scratch
-        # index t*stride - 1.
+        # The banks become flat store indices in place: each trial's
+        # memory offset (stride of the machine make_batched_machine
+        # builds) baked in, so an array's address table is one add of
+        # its base, and a step's address block one gather from it.
         stride = len(self.arrays) * self.mapping.storage_words + 1
-        offsets = np.arange(trials, dtype=np.int64) * stride
-        banks += (cols * w).repeat(w)  # lane (i, j): row base i*w
-        banks += offsets[:, None]
-        address_tables = []
-        for name in self.arrays:
-            table = np.empty((trials, p + 1), dtype=np.int64)
-            np.add(banks, self.bases[name], out=table[:, :p])
-            table[:, p] = offsets + INACTIVE
-            address_tables.append(table)
+        flat = banks
+        flat += (cols * w).repeat(w)  # lane (i, j): row base i*w
+        flat += (np.arange(trials, dtype=np.int64) * stride)[:, None]
         # Coset recipes give every draw's per-warp congestion from the
         # shift vectors alone; pooled steps share one recipe, so one
         # evaluation each.
@@ -439,29 +440,36 @@ class SharedMemoryKernel:
             if recipe is not None and id(recipe) not in evaluated:
                 evaluated[id(recipe)] = recipe.congestions(shifts)
             planned.append(None if recipe is None else evaluated[id(recipe)])
+        bases = [self.bases[name] for name in self.arrays]
         return BatchedProgram(
-            p, trials, steps, address_tables, key_table, stride, planned
+            p, trials, steps, flat, bases, key_table, stride, planned, layout
         )
 
-    def _static_staging(
-        self, plan: Optional[object]
-    ) -> tuple[tuple[StaticInstruction, ...], tuple["Optional[CosetRecipe]", ...]]:
-        """The draw-independent staging of every step, and its recipes.
+    def _static_staging(self, plan: Optional[object]) -> tuple[
+        tuple[StaticInstruction, ...],
+        tuple["Optional[CosetRecipe]", ...],
+        Optional[TimingLayout],
+    ]:
+        """The draw-independent staging of every step, its recipes, and
+        its timing layout (``None`` under a plan: the program builds its
+        own if it is ever timed).
 
-        Each step's plan-free staging is computed once per kernel and
-        memoized (``steps`` is a tuple, so it cannot go stale).  A plan
-        only overlays its verdicts on it: resolved steps take the
-        certified congestion vector, coset steps their recipe, and steps
-        of one pooled ``table`` share the first member's staging.
+        Each step's plan-free staging and its layout are computed once
+        per kernel and memoized (``steps`` is a tuple, so they cannot go
+        stale).  A plan only overlays its verdicts on it: resolved steps
+        take the certified congestion vector, coset steps their recipe,
+        and steps of one pooled ``table`` share the first member's
+        staging.
         """
-        static = self._static
-        if static is None:
-            static = self._static = tuple(
+        if self._static is None:
+            staged = tuple(
                 self._static_instruction(step, self._stage_block(step))
                 for step in self.steps
             )
+            self._static = (staged, TimingLayout.of(staged))
+        static, layout = self._static
         if plan is None:
-            return static, (None,) * len(static)
+            return static, (None,) * len(static), layout
         plan_steps = tuple(getattr(plan, "steps", plan))
         if len(plan_steps) != len(self.steps):
             raise ValueError(
@@ -508,7 +516,7 @@ class SharedMemoryKernel:
             block, recipe = pooled[sp.table]
             steps.append(self._static_instruction(step, block))
             recipes.append(recipe)
-        return tuple(steps), tuple(recipes)
+        return tuple(steps), tuple(recipes), None
 
     def _static_instruction(self, step: KernelStep, block: dict) -> StaticInstruction:
         p = self.w * self.w
@@ -591,9 +599,10 @@ class SharedMemoryKernel:
         ``run_batch(shifts, latency).time_units`` without the data half:
         stages :meth:`program_batch` and times it with
         :meth:`~repro.dmm.batched.BatchedDMM.time` on a fresh
-        :meth:`make_batched_machine`, which counts congestion but never
-        gathers an address block or moves a word.  ``shifts`` is checked
-        as in :meth:`program_batch`.
+        :meth:`make_batched_machine`, which counts congestion (many steps
+        per sort, from the kernel's memoized timing layout) but never
+        builds an address table or allocates memory.  ``shifts`` is
+        checked as in :meth:`program_batch`.
         """
         program = self.program_batch(shifts)
         return self.make_batched_machine(program.trials, latency).time(program)

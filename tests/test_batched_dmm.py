@@ -228,8 +228,10 @@ class TestTimeOnlyPath:
         def refuse(*args, **kwargs):
             raise AssertionError("the time-only path reached the data half")
 
+        monkeypatch.setattr(BatchedMemory, "__init__", refuse)
         monkeypatch.setattr(BatchedMemory, "read_flat", refuse)
         monkeypatch.setattr(BatchedMemory, "write_flat", refuse)
+        monkeypatch.setattr(BatchedProgram, "address_table", refuse)
         monkeypatch.setattr(BatchedProgram, "step_addresses", refuse)
 
     @pytest.mark.parametrize("planned", [False, True])
@@ -387,6 +389,130 @@ class TestStagedFlatAddressing:
             bigger.run(staged)
         with pytest.raises(ValueError, match="stride"):
             bigger.time(staged)
+
+
+# ---------------------------------------------------------------------------
+# the time-only path's blocked congestion count
+# ---------------------------------------------------------------------------
+
+
+def _app(app):
+    return lambda mapping: build_app_program(app, mapping, seed=SEED)
+
+
+def _random_kernel(seed, n_steps):
+    steps = _random_steps(seed, n_steps)
+    return lambda mapping: SharedMemoryKernel(W, steps, ("a", "b"), mapping)
+
+
+def _scalar_times(make_kernel, family, shifts, latency):
+    """Each trial's completion time on the scalar machine."""
+    times = []
+    for row in shifts:
+        kernel = make_kernel(mapping_from_shifts(family, row))
+        machine = kernel.make_machine(latency=latency)
+        times.append(machine.run(kernel.program()).time_units)
+    return times
+
+
+#: (id, kernel factory, family, trials, plan-staged).  The random
+#: kernel masks one whole warp in every step; stencil_row has no
+#: dynamic step; the plan-staged fft has resolved, coset and residual
+#: steps.
+BLOCK_CASES = [
+    ("sort-RAS", _app("sort"), "RAS", TRIALS, False),
+    ("sort-RAP", _app("sort"), "RAP", TRIALS, False),
+    ("fft-RAS", _app("fft"), "RAS", TRIALS, False),
+    ("fft-RAP", _app("fft"), "RAP", TRIALS, False),
+    ("fft-RAS-plan", _app("fft"), "RAS", TRIALS, True),
+    ("stencil_row-RAP", _app("stencil_row"), "RAP", TRIALS, False),
+    ("random-RAS", _random_kernel(43, 12), "RAS", TRIALS, False),
+    ("sort-RAP-T1", _app("sort"), "RAP", 1, False),
+]
+
+
+class TestBlockedCounting:
+    """:meth:`BatchedDMM.time` counts the dynamic warps of many steps
+    per sort; where the blocks fall must never show in the times."""
+
+    # One warp per block (every multi-warp step straddles blocks), a
+    # few warps per block, and one block for the whole program.
+    @pytest.mark.parametrize("budget", [1, 3 * TRIALS * W, 1 << 40])
+    @pytest.mark.parametrize(
+        "case", BLOCK_CASES, ids=[case[0] for case in BLOCK_CASES]
+    )
+    def test_time_is_exact_wherever_blocks_fall(self, monkeypatch, budget, case):
+        import repro.dmm.batched as batched
+        from repro.analysis.plan import compile_plan
+
+        _, make_kernel, family, trials, planned = case
+        kernel = make_kernel(RAWMapping(W))
+        plan = compile_plan(kernel, family) if planned else None
+        if planned:
+            # (resolved, coset) per step: resolved, coset and residual.
+            kinds = {
+                (s.congestions is not None, s.recipe is not None) for s in plan.steps
+            }
+            assert kinds == {(True, False), (False, True), (False, False)}
+        shifts = sample_shift_batch(family, W, trials, as_generator(SEED))
+        program = kernel.program_batch(shifts, plan=plan)
+        want = kernel.make_batched_machine(trials, 3).run(program).time_units
+        monkeypatch.setattr(batched, "_BLOCK_ADDRESSES", budget)
+        got = kernel.make_batched_machine(trials, 3).time(program)
+        assert got.dtype == np.int64 and got.shape == (trials,)
+        assert np.array_equal(got, want)
+        assert got.tolist() == _scalar_times(make_kernel, family, shifts, 3)
+
+    @staticmethod
+    def _count_rows(monkeypatch):
+        import repro.dmm.batched as batched
+
+        rows = []
+        count = batched.max_run_lengths
+
+        def counted(keys):
+            rows.append(len(keys))
+            return count(keys)
+
+        monkeypatch.setattr(batched, "max_run_lengths", counted)
+        return rows
+
+    @pytest.mark.parametrize("planned", [False, True])
+    @pytest.mark.parametrize("app", ["fft", "sort", "stencil_row"])
+    def test_every_dynamic_warp_is_one_row(self, monkeypatch, app, planned):
+        from repro.analysis.plan import compile_plan
+
+        kernel = build_app_program(app, RAWMapping(W), seed=SEED)
+        plan = compile_plan(kernel, "RAS") if planned else None
+        shifts = sample_shift_batch("RAS", W, TRIALS, as_generator(SEED))
+        program = kernel.program_batch(shifts, plan=plan)
+        rows = self._count_rows(monkeypatch)
+        kernel.make_batched_machine(TRIALS).time(program)
+        dynamic = sum(
+            step.dynamic_warps.size
+            for step in program.steps
+            if step.dynamic_warps is not None
+        )
+        assert sum(rows) == TRIALS * dynamic
+
+    def test_a_sweep_shard_takes_few_calls(self, monkeypatch):
+        """A 13-trial sort shard at w=32, as ``app_time_sweep`` runs it:
+        one kernel call per block of keys, not one per step."""
+        import repro.dmm.batched as batched
+
+        w, trials = 32, 13
+        kernel = build_app_program("sort", RAWMapping(w), seed=SEED)
+        program = kernel.program_batch(
+            sample_shift_batch("RAP", w, trials, as_generator(SEED))
+        )
+        rows = self._count_rows(monkeypatch)
+        kernel.make_batched_machine(trials).time(program)
+        dynamic = [step.dynamic_warps.size for step in program.steps]
+        keys = trials * sum(dynamic) * w
+        assert sum(rows) * w == keys
+        assert max(rows) * w <= batched._BLOCK_ADDRESSES
+        assert len(rows) <= -(-keys // batched._BLOCK_ADDRESSES) + 1
+        assert len(rows) < sum(1 for n in dynamic if n) // 2
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from repro.core.congestion import (
     bank_loads,
     bank_loads_batch,
     congestion_batch,
+    max_run_lengths,
     merge_requests,
     warp_congestion,
 )
@@ -195,3 +196,36 @@ class TestBatchKernelsDifferential:
         assert np.array_equal(loads, bank_loads_batch(addresses, w))
         sample = range(0, n, 97)
         assert [cong[i] for i in sample] == [warp_congestion(addresses[i], w) for i in sample]
+
+
+class TestMaxRunLengths:
+    @staticmethod
+    def _longest_runs(rows):
+        out = []
+        for row in rows.tolist():
+            best = run = 1
+            for prev, cur in zip(row, row[1:]):
+                run = run + 1 if cur == prev else 1
+                best = max(best, run)
+            out.append(best)
+        return out
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int64])
+    @pytest.mark.parametrize(
+        "n,k,values", [(1, 1, 3), (7, 1, 3), (1, 8, 2), (40, 8, 4), (33, 32, 64)]
+    )
+    def test_matches_a_row_by_row_count(self, n, k, values, dtype):
+        rows = np.sort(as_generator(n * k).integers(0, values, size=(n, k)), axis=1)
+        got = max_run_lengths(rows.astype(dtype))
+        assert got.dtype == np.int64
+        assert got.tolist() == self._longest_runs(rows)
+
+    def test_runs_never_span_rows(self):
+        # Row 0 ends and row 1 starts with the same value.
+        rows = np.array([[0, 1, 2, 2], [2, 2, 2, 3], [3, 3, 3, 3]])
+        assert max_run_lengths(rows).tolist() == [2, 3, 4]
+
+    def test_non_contiguous_rows(self):
+        rows = np.sort(as_generator(9).integers(0, 5, size=(12, 16)), axis=1)
+        every_other = rows[::2, :]
+        assert max_run_lengths(every_other).tolist() == self._longest_runs(every_other)
