@@ -309,11 +309,11 @@ def _run_report(args) -> str:
         sections.append("")
     sections.append("## Experiment index")
     sections.append("")
-    sections.append("| id | source | paper ref | bench |")
+    sections.append("| id | source | paper ref | cli |")
     sections.append("|---|---|---|---|")
     for exp in EXPERIMENT_INDEX:
         sections.append(
-            f"| {exp.id} | {exp.source} | {exp.paper_ref} | {exp.bench} |"
+            f"| {exp.id} | {exp.source} | {exp.paper_ref} | {exp.cli or '-'} |"
         )
     return "\n".join(sections)
 

@@ -5,7 +5,7 @@ from repro._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "repro.routing.coloring": ["edge_color_bipartite", "validate_coloring"],
+        "repro.routing.coloring": ["edge_color_euler", "validate_coloring"],
         "repro.routing.offline": [
             "OfflinePermutationOutcome",
             "hostile_permutation",

@@ -11,10 +11,10 @@ multigraph with maximum degree ``Δ`` is ``Δ``-edge-colorable, so the
 bank is read at most once and every destination bank written at most
 once — i.e. every round is congestion-free on the DMM.
 
-This module implements the constructive proof: repeatedly extract a
-perfect matching from the (still regular) multigraph, assign it one
-color, and recurse.  Matchings are found with Hopcroft–Karp via
-networkx on the support graph, with multiplicity bookkeeping on top.
+:func:`edge_color_euler` implements the constructive proof: an
+even-regular multigraph splits along Eulerian circuits into two
+half-degree halves, and an odd degree first peels one perfect matching
+found by augmenting paths.
 """
 
 from __future__ import annotations
@@ -24,61 +24,7 @@ from typing import Sequence
 
 from repro.util.validation import check_positive_int
 
-__all__ = ["edge_color_bipartite", "edge_color_euler", "validate_coloring"]
-
-
-def edge_color_bipartite(
-    edges: Sequence[tuple[int, int]], degree: int
-) -> list[int]:
-    """Color the edges of a ``degree``-regular bipartite multigraph.
-
-    Parameters
-    ----------
-    edges:
-        ``(left, right)`` endpoint pairs.  The multigraph they form
-        must be ``degree``-regular on both sides (every left node and
-        every right node appears exactly ``degree`` times) — which is
-        automatic for bank-to-bank permutation routing.
-    degree:
-        The regular degree ``Δ`` (= number of colors / rounds).
-
-    Returns
-    -------
-    list of int
-        ``colors[e] in [0, degree)`` for each edge, such that no two
-        edges sharing an endpoint get the same color.
-
-    Raises
-    ------
-    ValueError
-        If the multigraph is not ``degree``-regular.
-    """
-    check_positive_int(degree, "degree")
-    edges = list(edges)
-    left_deg = Counter(e[0] for e in edges)
-    right_deg = Counter(e[1] for e in edges)
-    if any(d != degree for d in left_deg.values()) or any(
-        d != degree for d in right_deg.values()
-    ):
-        raise ValueError(f"multigraph is not {degree}-regular")
-
-    # remaining[(u, v)] -> list of original edge indices still uncolored.
-    remaining: dict[tuple[int, int], list[int]] = {}
-    for idx, (u, v) in enumerate(edges):
-        remaining.setdefault((u, v), []).append(idx)
-
-    colors = [-1] * len(edges)
-    lefts = sorted(left_deg)
-    for color in range(degree):
-        matching = _perfect_matching(remaining, lefts)
-        for u, v in matching:
-            idx = remaining[(u, v)].pop()
-            if not remaining[(u, v)]:
-                del remaining[(u, v)]
-            colors[idx] = color
-    if remaining:  # pragma: no cover - guarded by regularity check
-        raise RuntimeError("edges left uncolored; input was not regular")
-    return colors
+__all__ = ["edge_color_euler", "validate_coloring"]
 
 
 def _perfect_matching(
@@ -86,26 +32,39 @@ def _perfect_matching(
 ) -> list[tuple[int, int]]:
     """Perfect matching on the support of the remaining multigraph.
 
-    The remaining graph is ``k``-regular for some ``k >= 1`` (we peel
-    one perfect matching per color), so by Hall's theorem a perfect
-    matching always exists on its support.
+    The remaining graph is ``k``-regular for some ``k >= 1``, so by
+    Hall's theorem a perfect matching exists on its support.  Each left
+    node in turn grows a tree of alternating paths until it reaches a
+    free right node, then flips that path (Kuhn's augmenting paths).
     """
-    import networkx as nx
-
-    graph = nx.Graph()
-    left_nodes = [("L", u) for u in lefts]
-    graph.add_nodes_from(left_nodes, bipartite=0)
-    for (u, v) in remaining:
-        graph.add_node(("R", v), bipartite=1)
-        graph.add_edge(("L", u), ("R", v))
-    match = nx.bipartite.hopcroft_karp_matching(graph, top_nodes=left_nodes)
-    pairs = []
-    for u in lefts:
-        partner = match.get(("L", u))
-        if partner is None:  # pragma: no cover - cannot happen if regular
-            raise RuntimeError(f"no perfect matching: left node {u} unmatched")
-        pairs.append((u, partner[1]))
-    return pairs
+    adjacency: dict[int, list[int]] = {u: [] for u in lefts}
+    for u, v in remaining:
+        adjacency[u].append(v)
+    owner: dict[int, int] = {}  # right node -> its matched left node
+    partner: dict[int, int] = {}  # left node -> its matched right node
+    for root in lefts:
+        parent: dict[int, int] = {}  # right node -> left node that reached it
+        frontier = [root]
+        free: int | None = None
+        while frontier and free is None:
+            u = frontier.pop()
+            for v in adjacency[u]:
+                if v in parent:
+                    continue
+                parent[v] = u
+                if v not in owner:
+                    free = v
+                    break
+                frontier.append(owner[v])
+        if free is None:  # pragma: no cover - cannot happen if regular
+            raise RuntimeError(f"no perfect matching: left node {root} unmatched")
+        right: int | None = free
+        while right is not None:  # flip the path back to the root
+            left = parent[right]
+            right_next = partner.get(left)
+            owner[right], partner[left] = left, right
+            right = right_next
+    return [(u, partner[u]) for u in lefts]
 
 
 def _euler_split(
@@ -160,14 +119,33 @@ def _euler_split(
 def edge_color_euler(
     edges: Sequence[tuple[int, int]], degree: int
 ) -> list[int]:
-    """Edge coloring via recursive Euler splits (fast for 2^k degrees).
+    """Color the edges of a ``degree``-regular bipartite multigraph.
 
     For even degree the multigraph splits into two half-degree halves
     in ``O(E)``; odd degrees peel one perfect matching first.  For the
     power-of-two degrees of GPU routing (``w`` banks) the whole
-    coloring costs ``O(E log w)`` versus the matching-based
-    :func:`edge_color_bipartite`'s ``O(E sqrt(V) w)`` — same output
-    contract, verified against the same validator.
+    coloring costs ``O(E log w)``.
+
+    Parameters
+    ----------
+    edges:
+        ``(left, right)`` endpoint pairs.  The multigraph they form
+        must be ``degree``-regular on both sides (every left node and
+        every right node appears exactly ``degree`` times) — which is
+        automatic for bank-to-bank permutation routing.
+    degree:
+        The regular degree ``Δ`` (= number of colors / rounds).
+
+    Returns
+    -------
+    list of int
+        ``colors[e] in [0, degree)`` for each edge, such that no two
+        edges sharing an endpoint get the same color.
+
+    Raises
+    ------
+    ValueError
+        If the multigraph is not ``degree``-regular.
     """
     check_positive_int(degree, "degree")
     edges = list(edges)

@@ -29,7 +29,7 @@ import numpy as np
 from repro.core.mappings import AddressMapping, RAWMapping
 from repro.dmm.machine import DiscreteMemoryMachine
 from repro.dmm.trace import INACTIVE, MemoryProgram, read, write
-from repro.routing.coloring import edge_color_bipartite
+from repro.routing.coloring import edge_color_euler
 from repro.util.rng import SeedLike, as_generator
 from repro.util.validation import check_positive_int
 
@@ -95,7 +95,6 @@ def scheduled_permutation_program(
     w: int,
     a_base: int = 0,
     b_base: int | None = None,
-    method: str = "matching",
 ) -> MemoryProgram:
     """The conflict-free ``w``-round schedule of the paper's refs [8]/[13].
 
@@ -111,10 +110,6 @@ def scheduled_permutation_program(
     rounds whose color class is smaller than ``w`` (only possible if
     the caller passes a non-full permutation — never for ``w^2``
     moves).
-
-    ``method`` selects the colorer: ``"matching"`` (Hopcroft–Karp
-    peeling) or ``"euler"`` (recursive Euler splits — ~10x faster at
-    ``w = 32`` and exact for any degree).
     """
     check_positive_int(w, "w")
     n = w * w
@@ -127,14 +122,7 @@ def scheduled_permutation_program(
     sources = np.arange(n, dtype=np.int64)
     destinations = perm
     edges = list(zip((sources % w).tolist(), (destinations % w).tolist()))
-    if method == "matching":
-        colors = edge_color_bipartite(edges, degree=w)
-    elif method == "euler":
-        from repro.routing.coloring import edge_color_euler
-
-        colors = edge_color_euler(edges, degree=w)
-    else:
-        raise ValueError(f"unknown coloring method {method!r}")
+    colors = edge_color_euler(edges, degree=w)
 
     prog = MemoryProgram(p=w)
     for color in range(w):

@@ -1,10 +1,9 @@
 """Machine-readable experiment index — DESIGN.md's table, importable.
 
 Each entry ties a paper artefact (or one of this repo's extensions) to
-the modules that implement it, the benchmark that regenerates it, and
-the CLI command that prints it.  The test suite checks the index
-against the filesystem, so the documentation cannot drift from the
-code.
+the modules that implement it and the CLI command that prints it.  The
+test suite imports every module and runs every named command's
+``--help``, so the documentation cannot drift from the code.
 """
 
 from __future__ import annotations
@@ -29,135 +28,110 @@ class Experiment:
         The paper location (``"Table II"``, ``"Fig. 3"``, ``"-"``).
     modules:
         Implementing modules (dotted paths).
-    bench:
-        Benchmark file under ``benchmarks/`` that regenerates it.
     cli:
-        ``python -m repro <cli>`` command, or ``None``.
+        ``python -m repro <cli>`` subcommand, or ``None``.
     """
 
     id: str
     source: str
     paper_ref: str
     modules: tuple[str, ...]
-    bench: str
     cli: str | None
 
 
 EXPERIMENT_INDEX: tuple[Experiment, ...] = (
     Experiment(
         "table1", "paper", "Table I",
-        ("repro.core.theory", "repro.core.mappings"),
-        "bench_table1.py", "table1",
+        ("repro.core.theory", "repro.core.mappings"), "table1",
     ),
     Experiment(
         "table2", "paper", "Table II",
-        ("repro.sim.congestion_sim", "repro.access.patterns"),
-        "bench_table2.py", "table2",
+        ("repro.sim.congestion_sim", "repro.access.patterns"), "table2",
     ),
     Experiment(
         "table3", "paper", "Table III",
         ("repro.access.transpose", "repro.dmm.machine", "repro.gpu.timing"),
-        "bench_table3.py", "table3",
+        "table3",
     ),
     Experiment(
         "table4", "paper", "Table IV",
-        ("repro.core.higher_dim", "repro.access.patterns_nd"),
-        "bench_table4.py", "table4",
+        ("repro.core.higher_dim", "repro.access.patterns_nd"), "table4",
     ),
     Experiment(
         "figures", "paper", "Figs. 1-7",
-        ("repro.report.figures",),
-        "bench_figures.py", "fig1",
+        ("repro.report.figures",), "fig1",
     ),
     Experiment(
         "lemma1", "paper", "Lemma 1",
-        ("repro.dmm.machine", "repro.access.transpose"),
-        "bench_lemma1.py", "lemma1",
+        ("repro.dmm.machine", "repro.access.transpose"), "lemma1",
     ),
     Experiment(
         "theorem2", "paper", "Theorem 2 / Lemma 4",
-        ("repro.core.theory", "repro.sim.congestion_sim"),
-        "bench_theory.py", "growth",
+        ("repro.core.theory", "repro.sim.congestion_sim"), "growth",
     ),
     Experiment(
         "ablations", "extension", "-",
-        ("repro.sim.congestion_sim", "repro.gpu.timing"),
-        "bench_ablations.py", None,
+        ("repro.sim.congestion_sim", "repro.gpu.timing"), None,
     ),
     Experiment(
         "exact", "extension", "-",
-        ("repro.core.exact",),
-        "bench_exact.py", "exact",
+        ("repro.core.exact",), "exact",
     ),
     Experiment(
         "padding", "extension", "-",
-        ("repro.core.padded",),
-        "bench_padding.py", "table2x",
+        ("repro.core.padded",), "table2x",
     ),
     Experiment(
         "swizzle", "extension", "-",
-        ("repro.core.swizzle",),
-        "bench_swizzle.py", "table2x",
+        ("repro.core.swizzle",), "table2x",
     ),
     Experiment(
         "offline", "extension", "paper refs [8],[13]",
-        ("repro.routing.coloring", "repro.routing.offline"),
-        "bench_offline.py", "offline",
+        ("repro.routing.coloring", "repro.routing.offline"), "offline",
     ),
     Experiment(
         "matmul", "extension", "paper Section I",
-        ("repro.gpu.matmul",),
-        "bench_matmul.py", "matmul",
+        ("repro.gpu.matmul",), "matmul",
     ),
     Experiment(
         "strided", "extension", "-",
-        ("repro.access.strided",),
-        "bench_strided.py", None,
+        ("repro.access.strided",), None,
     ),
     Experiment(
         "apps", "extension", "-",
         ("repro.apps.fft", "repro.apps.scan", "repro.apps.stencil",
-         "repro.apps.sort", "repro.apps.gather", "repro.apps.spmv"),
-        "bench_apps.py", "apps",
+         "repro.apps.sort", "repro.apps.gather", "repro.apps.spmv"), "apps",
     ),
     Experiment(
         "histogram", "extension", "-",
-        ("repro.apps.histogram",),
-        "bench_histogram.py", None,
+        ("repro.apps.histogram",), None,
     ),
     Experiment(
         "global-transpose", "extension", "paper ref [14]",
-        ("repro.apps.global_transpose",),
-        "bench_global.py", None,
+        ("repro.apps.global_transpose",), None,
     ),
     Experiment(
         "future-widths", "extension", "paper Section V",
-        ("repro.access.transpose",),
-        "bench_future_widths.py", None,
+        ("repro.access.transpose",), None,
     ),
     Experiment(
         "distributions", "extension", "-",
-        ("repro.sim.distributions",),
-        "bench_distributions.py", None,
+        ("repro.sim.distributions",), None,
     ),
     Experiment(
         "seed-sensitivity", "extension", "-",
-        ("repro.core.mappings",),
-        "bench_seed_sensitivity.py", None,
+        ("repro.core.mappings",), None,
     ),
     Experiment(
         "prover", "extension", "Theorem 1",
-        ("repro.analysis.affine", "repro.analysis.prover"),
-        "bench_prover.py", None,
+        ("repro.analysis.affine", "repro.analysis.prover"), "prove",
     ),
     Experiment(
         "batched-dmm", "extension", "-",
-        ("repro.dmm.batched", "repro.sim.bench"),
-        "bench_dmm.py", None,
+        ("repro.dmm.batched", "repro.sim.bench"), "bench-dmm",
     ),
     Experiment(
         "adversary", "extension", "Theorem 2",
-        ("repro.adversary.search", "repro.apps.zoo"),
-        "bench_adversary.py", None,
+        ("repro.adversary.search", "repro.apps.zoo"), "adversary",
     ),
 )

@@ -236,6 +236,9 @@ class TestAdversarySweep:
         sweep = adversary_table(
             mappings=("RAW", "RAP"), widths=(8, 16), seed=2014, budget=TINY
         )
+        for w in (8, 16):
+            raw, rap = sweep.results[("RAW", w)], sweep.results[("RAP", w)]
+            assert raw.eval_score > rap.eval_score
         series = sweep.series()
         assert set(series) == {"RAW", "RAP", "lnw/lnlnw"}
         assert len(series["RAP"]) == 2

@@ -159,6 +159,23 @@ class TestTheorems:
         assert proof.congestion == w
         assert proof.method == METHOD_SYMBOLIC
 
+    @pytest.mark.parametrize("w", [32, 64, 128, 256])
+    def test_paper_patterns_at_paper_widths(self, w):
+        """RAW's four affine paper patterns and RAP's stride close in
+        symbols up to w=256, and every answer equals enumeration."""
+        names = ("contiguous", "stride", "diagonal", "malicious")
+        raw, rap = RAWMapping(w), RAPMapping.random(w, 2014)
+        worst = [symbolic_step(affine_pattern(n, w), raw).worst for n in names]
+        assert worst == [1, w, 1, w]
+        proof = prove_access(affine_pattern("stride", w), rap)
+        assert (proof.method, proof.congestion) == (METHOD_SYMBOLIC, 1)
+        for name in names:
+            access = affine_pattern(name, w)
+            for mapping in (raw, rap):
+                assert prove_access(access, mapping).congestion == brute_force(
+                    access, mapping
+                )[0]
+
     def test_raw_strided_gcd_bound(self):
         """The gcd(s, w) serialization of an s-strided column walk."""
         w = 32

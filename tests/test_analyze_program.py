@@ -52,6 +52,6 @@ class TestAnalyzeProgram:
         """The offline-permutation schedule lints as all-1."""
         w = 8
         perm = rng.permutation(w * w)
-        prog = scheduled_permutation_program(perm, w, method="euler")
+        prog = scheduled_permutation_program(perm, w)
         cert = certify_program(prog, w)
         assert cert.worst == 1

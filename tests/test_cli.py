@@ -263,4 +263,5 @@ class TestReportCommand:
         for heading in ("Table I", "Table II", "Table III", "Table IV",
                         "Figures", "Experiment index"):
             assert heading in out
+        assert "| prover | extension | Theorem 1 | prove |" in out
         assert "fig6" in out

@@ -123,6 +123,20 @@ class TestCongestionBatch:
         batch = (np.arange(4)[:, None] + w * np.arange(w)[None, :])
         assert np.array_equal(congestion_batch(batch, w), np.full(4, w))
 
+    def test_merging_lowers_random_access(self):
+        """CRCW merging collapses duplicate addresses: random access is
+        ~3.44 merged, against the balls-in-bins ~3.53 when every request
+        counts (w=32)."""
+        w, trials = 32, 6000
+        addrs = as_generator(2014).integers(0, w * w, size=(trials, w))
+        merged = congestion_batch(addrs, w).mean()
+        keys = (np.arange(trials)[:, None] * w + addrs % w).ravel()
+        unmerged = np.bincount(keys, minlength=trials * w).reshape(trials, w)
+        unmerged = unmerged.max(axis=1).mean()
+        assert merged < unmerged
+        assert merged == pytest.approx(3.44, abs=0.08)
+        assert unmerged == pytest.approx(3.53, abs=0.08)
+
     def test_zero_width_rows(self):
         out = congestion_batch(np.zeros((2, 0), dtype=int), 4)
         assert list(out) == [0, 0]

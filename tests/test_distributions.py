@@ -58,6 +58,13 @@ class TestCongestionDistribution:
         for c in range(1, 8):
             assert d.pmf[c] == pytest.approx(exact[c], abs=0.03), c
 
+    @pytest.mark.parametrize(
+        "mapping,pattern", [("RAS", "stride"), ("RAP", "diagonal"), ("RAW", "random")]
+    )
+    def test_key_cells_have_ordered_quantiles(self, mapping, pattern):
+        d = congestion_distribution(mapping, pattern, 32, trials=1500, seed=2014)
+        assert 1 <= d.quantile(0.5) <= d.quantile(0.95) <= d.support_max <= 32
+
     def test_random_pattern_distribution(self):
         d = congestion_distribution("RAW", "random", 16, trials=300, seed=5)
         assert d.support_max >= 3

@@ -5,6 +5,9 @@ The load-bearing contract: for a fixed seed, engine results are
 bit-identical regardless of worker count and cache state.
 """
 
+import os
+from time import perf_counter
+
 import numpy as np
 import pytest
 
@@ -155,6 +158,27 @@ class TestEngineDeterminism:
         with MonteCarloEngine(workers=2) as engine:
             parallel = engine.nd_congestion("w2P", "random", 6, trials=24, seed=13)
         assert parallel == serial
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 4, reason="needs >= 4 cores")
+    def test_parallel_speedup_at_4_workers(self):
+        """>= 2x wall-clock speedup at 4 workers on widths >= 128."""
+
+        def timed(workers):
+            with MonteCarloEngine(workers=workers) as engine:
+                # Warm the pool so fork cost is not billed to the parallel arm.
+                engine.matrix_congestion("RAS", "stride", 16, trials=8, seed=0)
+                start = perf_counter()
+                results = [
+                    engine.matrix_congestion("RAS", "stride", w, trials=1024, seed=2014)
+                    for w in (128, 256)
+                ]
+                return perf_counter() - start, results
+
+        serial_time, serial_results = timed(1)
+        parallel_time, parallel_results = timed(4)
+        assert serial_results == parallel_results
+        speedup = serial_time / parallel_time
+        assert speedup >= 2.0, f"speedup {speedup:.2f}x < 2x"
 
     def test_single_trial_task(self):
         a = MonteCarloEngine().matrix_congestion("RAW", "stride", 16, trials=1, seed=0)

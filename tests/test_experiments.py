@@ -7,6 +7,7 @@ from repro.core.mappings import MAPPING_NAMES
 from repro.sim.experiments import (
     PAPER_TABLE2,
     PAPER_TABLE4_CLASSES,
+    TABLE2_WIDTHS,
     table1,
     table2,
     table3,
@@ -62,6 +63,18 @@ class TestTable2:
         b = table2(widths=(16,), trials=50, seed=3)
         assert a.mean("stride", "RAS", 16) == b.mean("stride", "RAS", 16)
 
+    def test_every_width_tracks_the_paper(self):
+        """All five widths: every randomized cell within 0.3 of the
+        paper, and the deterministic guarantees exact at each width."""
+        result = table2(widths=TABLE2_WIDTHS, trials=200, seed=2014)
+        for key, paper_value in result.paper.items():
+            assert result.stats[key].mean == pytest.approx(paper_value, abs=0.3), key
+        for w in TABLE2_WIDTHS:
+            assert result.mean("contiguous", "RAP", w) == 1
+            assert result.mean("stride", "RAP", w) == 1
+            assert result.mean("stride", "RAW", w) == w
+            assert result.mean("diagonal", "RAW", w) == 1
+
 
 class TestTable3:
     @pytest.fixture(scope="class")
@@ -95,6 +108,7 @@ class TestTable3:
     def test_speedup_shape(self, result):
         assert result.speedup_vs("CRSW", "RAW", "RAP") > 7
         assert result.speedup_vs("SRCW", "RAW", "RAP") > 7
+        assert result.speedup_vs("CRSW", "RAS", "RAP") > 1.4
         assert result.speedup_vs("DRDW", "RAP", "RAW") > 2
 
     def test_paper_ns_attached(self, result):

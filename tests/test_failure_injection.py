@@ -88,9 +88,9 @@ class TestColoringValidatorCatchesBadSchedules:
         src = np.arange(w * w) % w
         dst = perm % w
         edges = list(zip(src.tolist(), dst.tolist()))
-        from repro.routing.coloring import edge_color_bipartite
+        from repro.routing.coloring import edge_color_euler
 
-        colors = edge_color_bipartite(edges, w)
+        colors = edge_color_euler(edges, w)
         assert validate_coloring(edges, colors)
         bad = list(colors)
         # Force two edges sharing a source bank into one round.

@@ -54,6 +54,19 @@ class TestFitToPaper:
         ratio = pred[("DRDW", "RAP")] / pred[("DRDW", "RAW")]
         assert 2.0 <= ratio <= 3.5
 
+    def test_overhead_term_carries_signal(self):
+        """Zeroing gamma (the address-computation cost) worsens the fit."""
+        fitted = GPUTimingModel.fit_to_paper()
+        zeroed = GPUTimingModel(
+            fitted.alpha_ns_per_stage, fitted.beta_ns, gamma_ns_per_op=0.0
+        )
+
+        def squared_error(model):
+            pred = model.table3_prediction()
+            return sum((pred[k] - PAPER_TABLE3_NS[k]) ** 2 for k in pred)
+
+        assert squared_error(fitted) < squared_error(zeroed)
+
     def test_prediction_covers_all_cells(self):
         pred = GPUTimingModel.fit_to_paper().table3_prediction()
         assert set(pred) == set(PAPER_TABLE3_NS)

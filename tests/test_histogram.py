@@ -57,9 +57,13 @@ class TestNaiveIsLossy:
 
     def test_skew_increases_loss(self):
         w = 16
-        flat = run_histogram(make_votes(256, w, 0.0, seed=5), "naive", w=w)
-        peaked = run_histogram(make_votes(256, w, 2.0, seed=5), "naive", w=w)
-        assert peaked.lost_votes > flat.lost_votes
+        for seed in (5, 2014):
+            losses = []
+            for skew in (0.0, 1.0, 2.0):
+                outcome = run_histogram(make_votes(256, w, skew, seed=seed), "naive", w=w)
+                assert not outcome.correct
+                losses.append(outcome.lost_votes)
+            assert 0 < losses[0] < losses[1] < losses[2], seed
 
 
 class TestPrivatizedIsCorrect:
@@ -78,6 +82,16 @@ class TestPrivatizedIsCorrect:
             votes, "privatized", w=w, mapping=RAPMapping.random(w, rng)
         )
         assert outcome.correct
+
+    @pytest.mark.parametrize("fold", ["row", "column"])
+    def test_correct_for_either_fold(self, fold, rng):
+        w = 16
+        votes = make_votes(8 * w, w, skew=1.0, seed=2014)
+        for mapping in (None, RAPMapping.random(w, rng)):
+            outcome = run_histogram(
+                votes, "privatized", w=w, mapping=mapping, fold_assignment=fold
+            )
+            assert outcome.correct
 
     def test_partial_final_round(self):
         """Vote counts that do not fill the last warp still work."""

@@ -24,10 +24,18 @@ class TestLemma1Table:
         assert cells[("DRDW", w)][1] == 2 * (w + l - 1)
         assert cells[("SRCW", w)][1] == cells[("CRSW", w)][1]
 
+    def test_crsw_drdw_gap_grows_with_width(self):
+        """The CRSW/DRDW gap grows linearly in w: the reason DRDW exists."""
+        cells = lemma1_table(widths=(4, 32), latency=1)
+        ratio = {w: cells[("CRSW", w)][0] / cells[("DRDW", w)][0] for w in (4, 32)}
+        assert ratio[32] > ratio[4]
+        assert ratio[32] > 10
+
     def test_custom_latency(self):
-        cells = lemma1_table(widths=(4,), latency=20)
-        for _, (_, _, ok) in cells.items():
-            assert ok
+        for latency in (1, 5, 20):
+            cells = lemma1_table(widths=(4, 8, 16, 32), latency=latency)
+            for _, (_, _, ok) in cells.items():
+                assert ok
 
 
 class TestLemma1CLI:

@@ -88,6 +88,26 @@ class TestTiming:
         rap = run_matmul("ABt", RAPMapping.random(w, rng), seed=0)
         assert raw.time_units > 5 * rap.time_units
 
+    def test_layout_scorecard(self):
+        """AB costs the same under all four layouts; on ABt, padding and
+        RAP are conflict-free and RAW pays over 5x RAP's stages."""
+        w = 16
+        layouts = {
+            "RAW": RAWMapping(w),
+            "RAS": RASMapping.random(w, 2014),
+            "RAP": RAPMapping.random(w, 2014),
+            "PAD": PaddedMapping(w),
+        }
+        runs = {
+            (variant, name): run_matmul(variant, mapping, seed=2014)
+            for variant in ("AB", "ABt")
+            for name, mapping in layouts.items()
+        }
+        assert all(o.correct for o in runs.values())
+        assert len({runs[("AB", name)].total_stages for name in layouts}) == 1
+        assert runs[("ABt", "PAD")].max_read_congestion == 1
+        assert runs[("ABt", "RAW")].total_stages > 5 * runs[("ABt", "RAP")].total_stages
+
     def test_stage_accounting(self):
         """AB at w=4: per k-step 2 instructions x 4 warps x 1 stage,
         plus the final write (4 stages): 4*8 + 4 = 36."""

@@ -83,6 +83,7 @@ class TestRunOfflinePermutation:
         w = 16
         o = run_offline_permutation(hostile_permutation(w), "naive", w=w)
         assert o.max_congestion == w
+        assert o.correct
 
     def test_hostile_perm_congestion_one_under_rap(self, rng):
         w = 16
@@ -90,6 +91,7 @@ class TestRunOfflinePermutation:
             hostile_permutation(w), "naive", mapping=RAPMapping.random(w, rng)
         )
         assert o.max_congestion == 1
+        assert o.correct
 
     def test_scheduled_always_congestion_one(self, rng):
         w = 8
@@ -109,6 +111,24 @@ class TestRunOfflinePermutation:
         naive = run_offline_permutation(hostile_permutation(w), "naive", w=w)
         sched = run_offline_permutation(hostile_permutation(w), "scheduled", w=w)
         assert sched.total_stages < naive.total_stages
+
+    def test_stage_counts_on_random_permutations(self):
+        """Scheduled is the stage optimum (2w); naive/RAP lands between
+        it and naive/RAW, with no scheduling work."""
+        w = 16
+        stages = {"naive/RAW": 0, "naive/RAP": 0, "scheduled": 0}
+        for trial in range(5):
+            perm = random_data_permutation(w, seed=2014 + trial)
+            for key, o in (
+                ("naive/RAW", run_offline_permutation(perm, "naive", w=w)),
+                ("naive/RAP", run_offline_permutation(
+                    perm, "naive", mapping=RAPMapping.random(w, trial))),
+                ("scheduled", run_offline_permutation(perm, "scheduled", w=w)),
+            ):
+                assert o.correct, key
+                stages[key] += o.total_stages
+        assert stages["scheduled"] == 5 * 2 * w
+        assert stages["scheduled"] <= stages["naive/RAP"] <= stages["naive/RAW"]
 
     def test_latency_tradeoff(self):
         """Scheduled pays l per round; at high latency the one-step

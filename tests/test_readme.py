@@ -42,7 +42,8 @@ class TestReadmeStructure:
         assert "pip install -e ." in text
 
     def test_mentions_benchmark_command(self, text):
-        assert "pytest benchmarks/ --benchmark-only" in text
+        assert "python -m pytest -x -q" in text
+        assert "python3 perfbench/run.py" in text
 
     def test_example_scripts_exist(self, text):
         examples = Path(__file__).resolve().parent.parent / "examples"

@@ -1,14 +1,11 @@
-"""The experiment index must agree with the filesystem and the CLI."""
+"""The experiment index must agree with the code and the CLI."""
 
 import importlib
-from pathlib import Path
 
 import pytest
 
-from repro.cli import EXPERIMENT_NAMES
+from repro.cli import main
 from repro.sim.registry import EXPERIMENT_INDEX
-
-BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
 class TestIndexIntegrity:
@@ -17,27 +14,26 @@ class TestIndexIntegrity:
         assert len(ids) == len(set(ids))
 
     @pytest.mark.parametrize("exp", EXPERIMENT_INDEX, ids=lambda e: e.id)
-    def test_bench_file_exists(self, exp):
-        assert (BENCH_DIR / exp.bench).exists(), exp.bench
-
-    @pytest.mark.parametrize("exp", EXPERIMENT_INDEX, ids=lambda e: e.id)
     def test_modules_import(self, exp):
         for mod in exp.modules:
             importlib.import_module(mod)
 
     @pytest.mark.parametrize("exp", EXPERIMENT_INDEX, ids=lambda e: e.id)
-    def test_cli_commands_exist(self, exp):
+    def test_cli_commands_exist(self, exp, capsys):
+        """The named command is a real subcommand: its --help exits 0
+        (an unknown name is an argparse error, exit 2)."""
         if exp.cli is not None:
-            assert exp.cli in EXPERIMENT_NAMES, exp.cli
+            with pytest.raises(SystemExit) as exc:
+                main([exp.cli, "--help"])
+            assert exc.value.code == 0, exp.cli
+
+    def test_unknown_command_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["no-such-command", "--help"])
+        assert exc.value.code == 2
 
     def test_every_paper_table_indexed(self):
         refs = {e.paper_ref for e in EXPERIMENT_INDEX if e.source == "paper"}
         for required in ("Table I", "Table II", "Table III", "Table IV",
                          "Figs. 1-7", "Lemma 1"):
             assert required in refs
-
-    def test_every_bench_file_indexed(self):
-        """No orphan benchmarks: every bench module appears in the index."""
-        on_disk = {p.name for p in BENCH_DIR.glob("bench_*.py")}
-        indexed = {e.bench for e in EXPERIMENT_INDEX}
-        assert on_disk == indexed, on_disk ^ indexed

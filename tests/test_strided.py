@@ -55,6 +55,22 @@ class TestReductionPositions:
         )
         assert worst_rap <= w // 2
 
+    def test_rap_caps_every_reduction_level(self):
+        """RAW doubles 1 -> w over the levels; RAP's mean over 30 draws
+        stays near balls-in-bins at every level, and is exactly 1 at
+        stride w."""
+        w = 32
+        for level in range(6):
+            pos = reduction_positions(w, level)
+            raw = warp_congestion(strided_addresses(RAWMapping(w), pos), w)
+            assert raw == 1 << level
+            rap = np.mean([
+                warp_congestion(strided_addresses(RAPMapping.random(w, s), pos), w)
+                for s in range(30)
+            ])
+            assert rap < 6
+        assert rap == 1.0
+
     def test_rap_stride_w_is_column_access(self, rng):
         """Stride exactly w is a matrix column -> RAP congestion 1."""
         w = 16

@@ -2,8 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from repro.access.patterns import pattern_addresses
+from repro.core.congestion import bank_loads_batch, congestion_batch
+from repro.core.mappings import RAPMapping
 from repro.core.theory import (
     chernoff_upper_tail,
     expected_max_load,
@@ -13,6 +17,8 @@ from repro.core.theory import (
     pairwise_conflict_probability,
     theorem2_expectation_bound,
 )
+from repro.sim.congestion_sim import simulate_matrix_congestion
+from repro.util.rng import as_generator
 
 
 class TestChernoffBound:
@@ -153,3 +159,63 @@ class TestPairwiseConflictProbability:
     def test_needs_w2(self):
         with pytest.raises(ValueError):
             pairwise_conflict_probability(1, "RAS")
+
+
+def _diagonal_warps(w, trials, rng, lanes=None):
+    """RAP's worst pattern, one fresh sigma per trial: lane j touches
+    (row j, column j), landing in bank (j + sigma_j) % w."""
+    base = np.broadcast_to(np.arange(w, dtype=np.int64), (trials, w))
+    sigma = rng.permuted(base, axis=1)
+    rows = np.arange(w if lanes is None else lanes)
+    return rows * w + (rows + sigma[:, rows]) % w
+
+
+class TestBoundsAgainstSimulation:
+    """Theorem 2 and Lemma 4 checked against measured RAP congestion."""
+
+    WIDTHS = (16, 32, 64, 128)
+
+    def test_theorem2_envelope(self):
+        for w in self.WIDTHS:
+            stats = simulate_matrix_congestion("RAP", "diagonal", w, trials=500, seed=2014)
+            assert stats.mean <= theorem2_expectation_bound(w), w
+
+    def test_growth_is_log_over_loglog(self):
+        """Measured congestion grows like log w / log log w, not log w."""
+        ratios = [
+            simulate_matrix_congestion("RAP", "diagonal", w, trials=300, seed=2014).mean
+            / log_over_loglog(w)
+            for w in self.WIDTHS
+        ]
+        assert max(ratios) / min(ratios) < 1.4
+
+    @pytest.mark.parametrize("w", [32, 64])
+    def test_lemma4_tail(self, w):
+        """A fixed bank's half-warp load rarely reaches 3 ln w / ln ln w:
+        Lemma 4's 1/w^2 per bank, 1/w after a union bound over banks.
+        (At w=16 the threshold exceeds the 8 lanes of a half warp.)"""
+        addresses = _diagonal_warps(w, 4000, as_generator(2014), lanes=w // 2)
+        loads = bank_loads_batch(addresses, w)
+        assert (loads >= lemma4_threshold(w)).any(axis=1).mean() <= 1.0 / w
+
+    def test_full_warp_at_most_twice_the_half_warp(self):
+        """The proof device: E[full warp] <= 2 E[half warp], and the
+        half warp is strictly smaller."""
+        w = 32
+        addresses = _diagonal_warps(w, 3000, as_generator(2014))
+        full = congestion_batch(addresses, w).mean()
+        half = bank_loads_batch(addresses[:, : w // 2], w).max(axis=1).mean()
+        assert half < full <= 2 * half
+
+    def test_worst_sigma_stays_far_below_w(self):
+        """Over 300 pinned draws, the worst diagonal congestion stays
+        under w/2 and under twice the Theorem 2 envelope."""
+        w = 32
+        worst = max(
+            int(congestion_batch(
+                pattern_addresses(RAPMapping.random(w, 2014 + s), "diagonal"), w
+            ).max())
+            for s in range(300)
+        )
+        assert worst < w / 2
+        assert worst <= 2 * theorem2_expectation_bound(w)

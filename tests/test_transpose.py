@@ -142,6 +142,19 @@ class TestTiming:
         tuned = run_transpose("DRDW", RAWMapping(w), latency=latency)
         assert naive.time_units == tuned.time_units
 
+    def test_crsw_speedup_grows_with_width(self):
+        """Section V's wider future GPUs: RAW CRSW takes w + w^2 stages
+        and RAP CRSW 2w, so the speedup is ~(1 + w)/2 and keeps growing."""
+        speedups = {}
+        for w in (16, 32, 64, 128):
+            raw = run_transpose("CRSW", RAWMapping(w))
+            rap = run_transpose("CRSW", RAPMapping.random(w, 2014))
+            assert raw.correct and rap.correct
+            speedups[w] = raw.time_units / rap.time_units
+            assert speedups[w] == pytest.approx((1 + w) / 2, rel=0.05)
+        assert list(speedups.values()) == sorted(speedups.values())
+        assert speedups[128] > 4 * speedups[16]
+
     def test_raw_crsw_much_slower(self, rng):
         w = 32
         raw = run_transpose("CRSW", RAWMapping(w))

@@ -101,3 +101,24 @@ class TestUMMData:
         umm = UnifiedMemoryMachine(4, 1, 8)
         with pytest.raises(IndexError):
             umm.dump(0, 9)
+
+
+class TestTransposeRanking:
+    def test_drdw_advantage_shrinks_on_umm(self):
+        """DRDW crushes CRSW on the DMM; under the UMM's coalescing both
+        pay for scattered rows, so the gap closes."""
+        from repro.core.mappings import RAWMapping
+        from repro.dmm.machine import DiscreteMemoryMachine
+        from repro.gpu.kernel import transpose_kernel
+
+        w = 16
+        gaps = []
+        for machine in (DiscreteMemoryMachine, UnifiedMemoryMachine):
+            crsw, drdw = (
+                machine(w, 1, 2 * w * w)
+                .run(transpose_kernel(kind, RAWMapping(w)).program())
+                .time_units
+                for kind in ("CRSW", "DRDW")
+            )
+            gaps.append(crsw / drdw)
+        assert gaps[0] > gaps[1]
