@@ -72,10 +72,6 @@ class TestEdgeColoring:
         assert validate_coloring(edges, colors)
         assert colors[0] != colors[1]
         assert colors[4] != colors[5]
-        edges = [(0, 0), (0, 0), (1, 1), (1, 1)]
-        colors = edge_color_euler(edges, 2)
-        assert validate_coloring(edges, colors)
-        assert colors[0] != colors[1]
 
     def test_degree_one(self):
         edges = [(0, 1), (1, 0)]
