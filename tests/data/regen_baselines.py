@@ -31,7 +31,11 @@ Five artifacts live next to this script:
 
 ``tables_baseline.json``
     Golden Monte-Carlo output: ``repro table2`` at w=16, 24, 32, 256
-    and ``repro table4`` at w=8 (20 trials, seed=2014), the
+    and ``repro table4`` at w=8 (20 trials, seed=2014), ``repro table3
+    --trials 200`` (seed=2014), every
+    :class:`~repro.sim.experiments.Table3Row` of
+    :func:`~repro.sim.experiments.table3` at w=8, 12, 32 and latency 1
+    and 5 (20 trials, seed=2014) at full precision, the
     :func:`~repro.sim.distributions.congestion_distribution` pmfs of
     every Table II pattern and mapping at w=32, and SHA-256 digests of
     ``congestion_batch`` and ``bank_loads_batch`` on a fixed corpus
@@ -228,6 +232,10 @@ TABLES_TRIALS = 20
 TABLE2_WIDTHS = (16, 24, 32, 256)
 TABLE4_W = 8
 DISTRIBUTION_W = 32
+#: ``repro table3`` runs ``--trials // 10`` draws per randomized cell.
+TABLE3_CLI_TRIALS = 200
+TABLE3_WIDTHS = (8, 12, 32)
+TABLE3_LATENCIES = (1, 5)
 
 
 def _cli_stdout(argv: list[str]) -> list[str]:
@@ -286,19 +294,36 @@ def kernel_corpus() -> dict:
 
 
 def tables_baseline_text() -> str:
-    """Golden Table II/IV output, pmfs and kernel digests, as one JSON document."""
+    """Golden Table II/III/IV output, pmfs and kernel digests, as one JSON document."""
     import hashlib
 
     import numpy as np
 
     from repro.core.congestion import bank_loads_batch, congestion_batch
     from repro.sim.distributions import congestion_distribution
+    from repro.sim.experiments import table3
 
     common = ["--trials", str(TABLES_TRIALS), "--seed", str(TABLES_SEED), "--no-cache"]
     table2 = _cli_stdout(
         ["table2", "--widths", *map(str, TABLE2_WIDTHS), *common]
     )
+    table3_cli = _cli_stdout(
+        ["table3", "--trials", str(TABLE3_CLI_TRIALS),
+         "--seed", str(TABLES_SEED), "--no-cache"]
+    )
     table4 = _cli_stdout(["table4", "--w4", str(TABLE4_W), *common])
+    # repr keeps every float at full precision; the rendered table
+    # rounds to two decimals.
+    table3_rows = {
+        f"w{w}/l{latency}": {
+            "/".join(key): repr(row)
+            for key, row in table3(
+                w, trials=TABLES_TRIALS, seed=TABLES_SEED, latency=latency
+            ).rows.items()
+        }
+        for w in TABLE3_WIDTHS
+        for latency in TABLE3_LATENCIES
+    }
     pmfs = {
         f"{pattern}/{mapping}": congestion_distribution(
             mapping, pattern, DISTRIBUTION_W, trials=TABLES_TRIALS, seed=TABLES_SEED
@@ -322,6 +347,8 @@ def tables_baseline_text() -> str:
     payload = {
         "seed": TABLES_SEED,
         "table2": table2,
+        "table3": table3_cli,
+        "table3_rows": table3_rows,
         "table4": table4,
         "distributions": pmfs,
         "kernels": kernels,

@@ -5,7 +5,7 @@
 ``ir_baseline.json`` (golden IR dumps), ``apps_baseline.json``
 (golden ``run_*`` app outcomes), ``app_sweep_baseline.json`` (golden
 ``app_time_sweep`` and ``run_plan`` per-trial times) and ``tables_baseline.json`` (golden
-Table II/IV output, congestion pmfs and kernel digests): these tests assert the
+Table II/III/IV output, congestion pmfs and kernel digests): these tests assert the
 committed files are byte-identical to a fresh regeneration, so a
 baseline can never be hand-edited out of sync with the analysis code.
 """
