@@ -22,7 +22,10 @@ that is precisely the RAP trick: CRSW's stride write to logical
 two-step kernel (SIMD read, then SIMD write — the DMM forbids mixing),
 the skeleton the static certifier sees.  :func:`run_transpose`
 executes it on a fresh machine and checks the result against
-``numpy.transpose``.
+``numpy.transpose``.  :func:`run_transpose_batch` runs one algorithm
+under ``T`` mappings at once: each instruction's addresses for every
+trial go through one congestion-kernel call, and the data moves by one
+gather and one scatter over all trials' memories.
 """
 
 from __future__ import annotations
@@ -32,15 +35,20 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.core.congestion import congestion_batch
 from repro.core.mappings import AddressMapping
 from repro.dmm.machine import ExecutionResult
+from repro.dmm.mmu import batch_completion_times
 from repro.util.rng import SeedLike, as_generator
+from repro.util.validation import check_latency
 
 __all__ = [
     "TRANSPOSE_NAMES",
     "transpose_indices",
     "TransposeOutcome",
+    "TransposeBatchOutcome",
     "run_transpose",
+    "run_transpose_batch",
 ]
 
 TRANSPOSE_NAMES = ("CRSW", "SRCW", "DRDW")
@@ -148,4 +156,116 @@ def run_transpose(
         read_congestion=execution.traces[0].max_congestion,
         write_congestion=execution.traces[1].max_congestion,
         execution=execution,
+    )
+
+
+@dataclass(frozen=True)
+class TransposeBatchOutcome:
+    """Result of executing one transpose under ``T`` mappings at once.
+
+    Row ``t`` of every array is what :func:`run_transpose` reports for
+    trial ``t``'s mapping and matrix.
+
+    Attributes
+    ----------
+    correct:
+        ``(T,)`` bool: the destination equals the source's transpose.
+    time_units:
+        ``(T,)`` exact DMM completion times.
+    read_congestions, write_congestions:
+        ``(T, w)`` per-warp congestion of the read and write
+        instruction, in warp order (every warp of a transpose is
+        active, so all ``w`` are dispatched).
+    """
+
+    correct: np.ndarray
+    time_units: np.ndarray
+    read_congestions: np.ndarray
+    write_congestions: np.ndarray
+
+    @property
+    def total_stages(self) -> np.ndarray:
+        """``(T,)`` pipeline stages of both instructions: the summed
+        per-warp congestions, the timing model's input."""
+        return self.read_congestions.sum(axis=1) + self.write_congestions.sum(axis=1)
+
+
+def run_transpose_batch(
+    kind: str,
+    shifts: np.ndarray,
+    matrices: np.ndarray,
+    latency: int = 1,
+) -> TransposeBatchOutcome:
+    """Execute a transpose under ``T`` shifted-row mappings at once.
+
+    Trial ``t`` is :func:`run_transpose` of ``kind`` under
+    ``mapping_from_shifts(name, shifts[t])`` on ``matrices[t]``.  Each
+    instruction's addresses for all trials form ``T * w`` warp rows
+    that go through one :func:`~repro.core.congestion.congestion_batch`
+    call, the same kernel call (and the same rows) the scalar machine
+    makes per trial.  The data moves through a ``(T, 2 w^2)`` image of
+    every trial's memory: one gather for the read, one scatter for the
+    write.
+
+    Parameters
+    ----------
+    kind:
+        Algorithm name (``"CRSW"``, ``"SRCW"``, ``"DRDW"``).
+    shifts:
+        ``(T, w)`` integer shift vectors, one per trial, each in
+        ``[0, w)`` (checked by :func:`~repro.gpu.kernel.check_shifts`).
+    matrices:
+        ``(T, w, w)`` source matrices.
+    latency:
+        DMM pipeline depth ``l``.
+    """
+    from repro.gpu.kernel import check_shifts
+
+    matrices = np.asarray(matrices, dtype=np.float64)
+    if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
+        raise ValueError(
+            f"matrices must be (trials, w, w), got shape {matrices.shape}"
+        )
+    w = matrices.shape[1]
+    shifts = check_shifts(shifts, w)
+    trials = shifts.shape[0]
+    if matrices.shape[0] != trials:
+        raise ValueError(
+            f"matrices hold {matrices.shape[0]} trials, shifts hold {trials}"
+        )
+    check_latency(latency)
+    (ri, rj), (wi, wj) = transpose_indices(kind, w)
+    p = w * w
+    cols = np.arange(w, dtype=np.int64)
+    # rot[s, j] = (j + s) mod w: logical (i, j) of trial t lives at
+    # i*w + rot[shifts[t, i], j] within its array.
+    rot = (cols[:, None] + cols[None, :]) % w
+
+    def addresses(base: int, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
+        return base + ii * w + rot[shifts[:, ii], jj]
+
+    read = addresses(0, ri, rj).reshape(trials, p)
+    write = addresses(p, wi, wj).reshape(trials, p)
+    read_congestions = congestion_batch(read.reshape(-1, w), w).reshape(trials, w)
+    write_congestions = congestion_batch(write.reshape(-1, w), w).reshape(trials, w)
+    stages = np.stack(
+        [read_congestions.sum(axis=1), write_congestions.sum(axis=1)], axis=1
+    )
+    time_units = batch_completion_times(stages, latency).sum(axis=1)
+
+    # Every trial's memory, a at [0, p) and b at [p, 2p), flattened so
+    # one fancy index reaches all trials.
+    offsets = (np.arange(trials, dtype=np.int64) * 2 * p)[:, None]
+    layout = (rot[shifts] + (cols * w)[:, None]).reshape(trials, p) + offsets
+    memory = np.zeros(trials * 2 * p)
+    memory[layout] = matrices.reshape(trials, p)
+    memory[write + offsets] = memory[read + offsets]
+    b = memory[layout + p].reshape(trials, w, w)
+    correct = (b == matrices.transpose(0, 2, 1)).all(axis=(1, 2))
+
+    return TransposeBatchOutcome(
+        correct=correct,
+        time_units=time_units,
+        read_congestions=read_congestions,
+        write_congestions=write_congestions,
     )

@@ -418,12 +418,7 @@ def compile_plan(
     plans: list[StepPlan] = []
     pool: dict[tuple, tuple[int, dict]] = {}
     for idx, step in enumerate(kernel.steps):
-        key = (
-            step.array,
-            step.ii.tobytes(),
-            step.jj.tobytes(),
-            None if step.mask is None else step.mask.tobytes(),
-        )
+        key = step.grid_key
         if key not in pool:
             verdict = _step_verdict(step, kernel.bases[step.array], family, w, idx)
             pool[key] = (len(pool), verdict)

@@ -195,9 +195,7 @@ class DiscreteMemoryMachine:
         # warps that have no active lane and are never dispatched.
         per_warp = congestion_batch(grouped, self.w, inactive=INACTIVE)
         warps = np.flatnonzero(per_warp)
-        congestions = [int(c) for c in per_warp[warps]]
-
-        schedule = self.mmu.schedule(congestions)
+        schedule = self.mmu.schedule(per_warp[warps])
 
         mask = instr.active_mask
         if instr.op == "read":
@@ -220,8 +218,8 @@ class DiscreteMemoryMachine:
 
         return InstructionTrace(
             op=instr.op,
-            dispatched_warps=tuple(int(widx) for widx in warps),
-            congestions=tuple(congestions),
+            dispatched_warps=tuple(warps.tolist()),
+            congestions=schedule.congestions,
             schedule=schedule,
             time_units=schedule.completion_time,
         )

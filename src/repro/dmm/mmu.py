@@ -111,17 +111,18 @@ class PipelinedMMU:
         StageSchedule
             Issue stages and total completion time for the batch.
         """
-        cong = tuple(int(c) for c in congestions)
-        for c in cong:
-            if not 1 <= c <= self.w:
-                raise ValueError(
-                    f"warp congestion must lie in [1, {self.w}], got {c}"
-                )
-        issue = tuple(int(s) for s in np.cumsum((0,) + cong[:-1])) if cong else ()
+        cong = np.asarray(congestions, dtype=np.int64)
+        bad = (cong < 1) | (cong > self.w)
+        if bad.any():
+            raise ValueError(
+                f"warp congestion must lie in [1, {self.w}], "
+                f"got {cong[bad][0]}"
+            )
+        ends = np.cumsum(cong)
         return StageSchedule(
-            congestions=cong,
-            issue_stage=issue,
-            total_stages=sum(cong),
+            congestions=tuple(cong.tolist()),
+            issue_stage=tuple((ends - cong).tolist()),
+            total_stages=int(ends[-1]) if cong.size else 0,
             latency=self.latency,
         )
 

@@ -161,6 +161,19 @@ class KernelStep:
         """Grid side length (warp width the step was built for)."""
         return self.ii.shape[0]
 
+    @property
+    def grid_key(self) -> tuple:
+        """Hashable identity of the elements the step touches: its
+        array, index grids and mask.  Steps with equal keys address the
+        same words under every mapping, so they share one staging and
+        one plan address table."""
+        return (
+            self.array,
+            self.ii.tobytes(),
+            self.jj.tobytes(),
+            None if self.mask is None else self.mask.tobytes(),
+        )
+
     @classmethod
     def from_positions(
         cls,
@@ -454,19 +467,23 @@ class SharedMemoryKernel:
         its timing layout (``None`` under a plan: the program builds its
         own if it is ever timed).
 
-        Each step's plan-free staging and its layout are computed once
-        per kernel and memoized (``steps`` is a tuple, so they cannot go
-        stale).  A plan only overlays its verdicts on it: resolved steps
-        take the certified congestion vector, coset steps their recipe,
-        and steps of one pooled ``table`` share the first member's
-        staging.
+        Each distinct grid's plan-free staging (steps of one
+        :attr:`KernelStep.grid_key` share it) and the kernel's layout
+        are computed once per kernel and memoized (``steps`` is a tuple,
+        so they cannot go stale).  A plan only overlays its verdicts on
+        it: resolved steps take the certified congestion vector, coset
+        steps their recipe, and steps of one pooled ``table`` share the
+        first member's staging.
         """
         if self._static is None:
-            staged = tuple(
-                self._static_instruction(step, self._stage_block(step))
-                for step in self.steps
-            )
-            self._static = (staged, TimingLayout.of(staged))
+            blocks: dict[tuple, dict] = {}
+            staged = []
+            for step in self.steps:
+                key = step.grid_key
+                if key not in blocks:
+                    blocks[key] = self._stage_block(step)
+                staged.append(self._static_instruction(step, blocks[key]))
+            self._static = (tuple(staged), TimingLayout.of(staged))
         static, layout = self._static
         if plan is None:
             return static, (None,) * len(static), layout

@@ -25,7 +25,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.resilience.journal import SweepJournal
 
 from repro.access.patterns_nd import ND_PATTERN_NAMES
-from repro.access.transpose import TRANSPOSE_NAMES, run_transpose
+from repro.access.transpose import TRANSPOSE_NAMES, run_transpose, run_transpose_batch
 from repro.apps import app_factory, build_app_program
 from repro.core.higher_dim import ND_MAPPING_NAMES, nd_mapping_by_name
 from repro.core.mappings import (
@@ -390,29 +390,32 @@ class Table3Result:
 def _table3_combo(item: tuple, rng) -> tuple:
     """One (algorithm, mapping) cell of Table III — engine worker body.
 
-    Module-level so the parallel engine can dispatch combos to a
+    Per trial it draws the mapping and then the source matrix from
+    ``rng``, then runs every trial as one
+    :func:`~repro.access.transpose.run_transpose_batch`: each
+    instruction's warps for all trials go through one congestion-kernel
+    call.  Module-level so the parallel engine can dispatch combos to a
     process pool; the rng it receives is the combo's own spawned child,
     making the result independent of which worker ran it.
     """
     algorithm, mapping_name, w, trials, latency = item
     n = 1 if mapping_name == "RAW" else trials
-    reads, writes, stages = [], [], []
-    all_correct = True
-    for _ in range(n):
+    shifts = np.empty((n, w), dtype=np.int64)
+    matrices = np.empty((n, w, w))
+    for t in range(n):
         mapping = mapping_by_name(mapping_name, w, rng)
-        outcome = run_transpose(algorithm, mapping, latency=latency, seed=rng)
-        all_correct &= outcome.correct
-        # Table III reports the *expected per-warp* congestion
-        # (3.53 for a RAS stride phase), so average over warps.
-        reads.append(outcome.execution.traces[0].mean_congestion)
-        writes.append(outcome.execution.traces[1].mean_congestion)
-        stages.append(
-            sum(t.schedule.total_stages for t in outcome.execution.traces)
-        )
+        shifts[t] = mapping.shifts
+        matrices[t] = rng.random((w, w))
+    batch = run_transpose_batch(algorithm, shifts, matrices, latency)
+    # Table III reports the *expected per-warp* congestion (3.53 for a
+    # RAS stride phase), so average over warps.
+    reads = batch.read_congestions.mean(axis=1).tolist()
+    writes = batch.write_congestions.mean(axis=1).tolist()
+    stages = batch.total_stages.tolist()
     # Address-computation ops depend only on the mapping family:
     # overhead_ops per warp issue, 2 instructions x w warps.
     overhead = mapping.address_overhead_ops * 2 * w
-    return reads, writes, stages, bool(all_correct), overhead
+    return reads, writes, stages, bool(batch.correct.all()), overhead
 
 
 def _conservative_half(values, z: float = 1.96) -> float:

@@ -1,5 +1,7 @@
 """Unit tests for repro.sim.experiments — the table generators."""
 
+import sys
+
 import pytest
 
 from repro.core.higher_dim import ND_MAPPING_NAMES
@@ -118,6 +120,30 @@ class TestTable3:
         for key, row in result.rows.items():
             err = abs(row.predicted_ns - row.paper_ns) / row.paper_ns
             assert err < 0.20, f"{key}: {err:.1%}"
+
+    def test_one_congestion_call_per_instruction_per_cell(self, monkeypatch):
+        """Every trial's warps reach the congestion kernel, 2 w rows per
+        trial, and each cell's instruction is one call: at w=8 and 5
+        trials, 3 * (1 + 2 * 5) trials * 2 * 8 rows in 9 * 2 calls."""
+        from repro.core import congestion
+        from repro.sim.engine import MonteCarloEngine
+
+        original = congestion.congestion_batch
+        rows = []
+
+        def counted(addresses, *args, **kwargs):
+            rows.append(len(addresses))
+            return original(addresses, *args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and getattr(
+                module, "congestion_batch", None
+            ) is original:
+                monkeypatch.setattr(module, "congestion_batch", counted)
+        with MonteCarloEngine(workers=1, cache=False) as engine:
+            table3(w=8, trials=5, seed=7, engine=engine)
+        assert sum(rows) == 3 * (1 + 2 * 5) * 2 * 8 == 528
+        assert len(rows) == 18
 
 
 class TestTable4:

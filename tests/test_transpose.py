@@ -6,9 +6,16 @@ import pytest
 from repro.access.transpose import (
     TRANSPOSE_NAMES,
     run_transpose,
+    run_transpose_batch,
     transpose_indices,
 )
-from repro.core.mappings import MAPPING_NAMES, RAPMapping, RAWMapping, mapping_by_name
+from repro.core.mappings import (
+    MAPPING_NAMES,
+    RAPMapping,
+    RAWMapping,
+    mapping_by_name,
+    mapping_from_shifts,
+)
 from repro.dmm.machine import DiscreteMemoryMachine
 from repro.gpu.kernel import transpose_kernel
 
@@ -160,3 +167,77 @@ class TestTiming:
         raw = run_transpose("CRSW", RAWMapping(w))
         rap = run_transpose("CRSW", RAPMapping.random(w, rng))
         assert raw.time_units > 10 * rap.time_units
+
+
+def _draws(mapping_name, w, trials, rng):
+    """Per trial a mapping, then a matrix: Table III's draw order."""
+    shifts = np.empty((trials, w), dtype=np.int64)
+    matrices = np.empty((trials, w, w))
+    for t in range(trials):
+        shifts[t] = mapping_by_name(mapping_name, w, rng).shifts
+        matrices[t] = rng.random((w, w))
+    return shifts, matrices
+
+
+class TestTransposeBatch:
+    """run_transpose_batch against the scalar DMM, trial by trial."""
+
+    @pytest.mark.parametrize("latency", [1, 5])
+    @pytest.mark.parametrize("w", [4, 8, 12, 32])
+    @pytest.mark.parametrize("mapping_name", MAPPING_NAMES)
+    @pytest.mark.parametrize("kind", TRANSPOSE_NAMES)
+    def test_matches_scalar_per_trial(self, kind, mapping_name, w, latency, rng):
+        shifts, matrices = _draws(mapping_name, w, 4, rng)
+        batch = run_transpose_batch(kind, shifts, matrices, latency)
+        assert batch.read_congestions.shape == batch.write_congestions.shape == (4, w)
+        for t in range(4):
+            mapping = mapping_from_shifts(mapping_name, shifts[t])
+            scalar = run_transpose(kind, mapping, latency, matrix=matrices[t])
+            read, write = scalar.execution.traces
+            assert tuple(batch.read_congestions[t].tolist()) == read.congestions
+            assert tuple(batch.write_congestions[t].tolist()) == write.congestions
+            assert batch.time_units[t] == scalar.time_units
+            assert batch.total_stages[t] == sum(
+                trace.schedule.total_stages for trace in scalar.execution.traces
+            )
+            assert bool(batch.correct[t]) is scalar.correct is True
+
+    @pytest.mark.parametrize("kind", TRANSPOSE_NAMES)
+    def test_nan_is_incorrect_on_both_paths(self, kind, rng):
+        shifts, matrices = _draws("RAP", 8, 3, rng)
+        matrices[1, 2, 5] = np.nan
+        batch = run_transpose_batch(kind, shifts, matrices)
+        assert batch.correct.tolist() == [True, False, True]
+        scalar = run_transpose(
+            kind, mapping_from_shifts("RAP", shifts[1]), matrix=matrices[1]
+        )
+        assert scalar.correct is False
+
+    def test_shifts_out_of_range(self):
+        shifts = np.zeros((2, 4), dtype=np.int64)
+        shifts[1, 2] = 4
+        with pytest.raises(ValueError, match=r"shifts must lie in \[0, 4\)"):
+            run_transpose_batch("CRSW", shifts, np.zeros((2, 4, 4)))
+
+    def test_shifts_not_integers(self):
+        with pytest.raises(TypeError, match="shifts must be integers"):
+            run_transpose_batch("CRSW", np.zeros((2, 4)), np.zeros((2, 4, 4)))
+
+    def test_shifts_of_the_wrong_width(self):
+        with pytest.raises(ValueError, match=r"shifts must be \(trials, 4\)"):
+            run_transpose_batch(
+                "CRSW", np.zeros((2, 5), dtype=np.int64), np.zeros((2, 4, 4))
+            )
+
+    @pytest.mark.parametrize("shape", [(3, 4, 4), (2, 4, 5), (2, 16), (4, 4)])
+    def test_matrices_shape_mismatch(self, shape):
+        with pytest.raises(ValueError, match="matrices"):
+            run_transpose_batch(
+                "CRSW", np.zeros((2, 4), dtype=np.int64), np.zeros(shape)
+            )
+
+    def test_zero_trials(self):
+        with pytest.raises(ValueError, match="at least one trial"):
+            run_transpose_batch(
+                "CRSW", np.zeros((0, 4), dtype=np.int64), np.zeros((0, 4, 4))
+            )
